@@ -1,8 +1,8 @@
 """The simulated MPI communicator (mpi4py-flavoured API).
 
 Each rank is a discrete-event process holding a :class:`Communicator`.
-Methods are generators — rank code drives them with ``yield from``, the
-idiom the engine uses for zero-cost composition::
+Blocking methods return generators — rank code drives them with
+``yield from``, the idiom the engine uses for zero-cost composition::
 
     def main(comm):
         if comm.rank == 0:
@@ -15,6 +15,11 @@ local copy; rendezvous sends block until the receiver arrives (the same
 eager/rendezvous split that Section 5's DAPL thresholds control).  The
 simulator also moves real payloads, so collective algorithms are verified
 for *correctness*, not just priced for time.
+
+The public surface lives on :class:`BaseCommunicator`, which validates
+arguments and numbers collective calls once for every backend: the
+event engine here, the max-plus replay (:mod:`repro.mpi.compile`) and
+the phase lowering (:mod:`repro.mpi.phasec`).
 """
 
 from __future__ import annotations
@@ -27,6 +32,12 @@ from repro.obs.tracer import NULL_CONTEXT, Tracer, active
 from repro.simcore import Engine, Event, Get, Put, Timeout, WaitEvent
 
 FabricResolver = Callable[[int, int], Any]
+
+#: Collectives the engine hands to the analytic fast path
+#: (:mod:`repro.mpi.fastpath`); gather and scatter always step.
+_FAST_KINDS = frozenset(
+    {"barrier", "bcast", "reduce", "allreduce", "allgather", "alltoall"}
+)
 
 
 class _CollectiveCancelled(BaseException):
@@ -99,8 +110,242 @@ class Request:
         return f"<Request {label} [{state}]>"
 
 
-class Communicator:
-    """One rank's view of the simulated communicator.
+def _returning(value: Any = None) -> Generator:
+    """A generator that finishes at once with ``value``."""
+    return value
+    yield  # pragma: no cover - makes this a generator
+
+
+class BaseCommunicator:
+    """The communicator surface, written once over three backends.
+
+    The public methods own argument validation and collective
+    sequencing: a bad peer or root, a negative message size or compute
+    time, a mis-sized alltoall/scatter list or a non-positive deadline
+    raises :class:`~repro.errors.ConfigError` with the same message
+    whichever backend runs the rank, and each rank numbers its
+    collective calls so a rendezvous can match the n-th call of every
+    rank.  A backend implements only the primitives declared below,
+    called with the arguments the public methods pass, plus its own
+    refusals.  The backends are :class:`Communicator` (the
+    discrete-event engine), :class:`repro.mpi.compile._ReplayComm`
+    (scalar max-plus clocks; refuses with ``ReplayFallback``) and
+    :class:`repro.mpi.phasec._TraceComm` (probe-rank lowering; refuses
+    with ``LowerFallback``).  Blocking methods return generators: drive
+    them with ``yield from``.
+    """
+
+    __slots__ = ()
+
+    rank: int
+    size: int
+    _coll_seq: int
+    _fabric_for: FabricResolver
+    _trace_pid: str
+    _trace_tid: str
+    # Backend primitives.
+    _send: Callable[..., Generator]
+    _recv: Callable[..., Generator]
+    _isend: Callable[..., Any]
+    _irecv: Callable[..., Any]
+    _compute: Callable[[float], Generator]
+    _collective: Callable[..., Generator]
+    _clock: Callable[[], float]
+    #: Only the engine backend records spans.
+    tracer: Optional[Tracer] = None
+
+    # ------------------------------------------------------------ plumbing
+
+    def _check_peer(self, peer: int) -> None:
+        if not (0 <= peer < self.size):
+            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
+
+    def fabric(self, peer: int) -> Any:
+        return self._fabric_for(self.rank, peer)
+
+    @property
+    def now(self) -> float:
+        return self._clock()
+
+    def phase(self, name: str, cat: str = "app.phase") -> Any:
+        """Context manager spanning an application phase on this rank's
+        timeline lane (a no-op without a tracer)::
+
+            with comm.phase("iter3"):
+                z = yield from conj_grad(x)
+        """
+        tr = active(self.tracer)
+        if tr is None:
+            return NULL_CONTEXT
+        return tr.span(name, cat=cat, pid=self._trace_pid, tid=self._trace_tid)
+
+    # ------------------------------------------------------- point-to-point
+
+    def send(
+        self,
+        dest: int,
+        nbytes: int,
+        tag: int = 0,
+        payload: Any = None,
+        pattern: str = "neighbor",
+        _lane: Optional[str] = None,
+        timeout: Optional[float] = None,
+        max_retries: int = 0,
+    ) -> Generator:
+        """Blocking send (eager detaches after local copy; rendezvous
+        blocks until the receiver matches).
+
+        ``timeout`` bounds the rendezvous wait for a matching receiver
+        in simulated seconds; after ``max_retries`` further waits of the
+        same length, the unmatched envelope is withdrawn and
+        :class:`~repro.errors.TimeoutExpired` propagates.  Eager sends
+        never wait on the peer and ignore the bound.
+        """
+        self._check_peer(dest)
+        if nbytes < 0:
+            raise ConfigError("nbytes must be non-negative")
+        return self._send(
+            dest, nbytes, tag, payload, pattern, _lane, timeout, max_retries
+        )
+
+    def recv(
+        self,
+        source: Optional[int] = ANY_SOURCE,
+        tag: Optional[int] = ANY_TAG,
+        _lane: Optional[str] = None,
+        timeout: Optional[float] = None,
+        max_retries: int = 0,
+    ) -> Generator:
+        """Blocking receive; returns the matched :class:`Envelope`.
+
+        ``timeout`` bounds the wait for a matching message in simulated
+        seconds; the matcher is re-posted ``max_retries`` times before
+        :class:`~repro.errors.TimeoutExpired` propagates.
+        """
+        if source is not None:
+            self._check_peer(source)
+        return self._recv(source, tag, _lane, timeout, max_retries)
+
+    def isend(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None) -> Any:
+        """Non-blocking send; returns a request whose ``wait()`` completes it."""
+        self._check_peer(dest)
+        if nbytes < 0:
+            raise ConfigError("nbytes must be non-negative")
+        return self._isend(dest, nbytes, tag, payload)
+
+    def irecv(
+        self, source: Optional[int] = ANY_SOURCE, tag: Optional[int] = ANY_TAG
+    ) -> Any:
+        """Non-blocking receive; ``wait()`` returns the :class:`Envelope`."""
+        if source is not None:
+            self._check_peer(source)
+        return self._irecv(source, tag)
+
+    def sendrecv(
+        self,
+        dest: int,
+        source: int,
+        nbytes: int,
+        tag: int = 0,
+        payload: Any = None,
+    ) -> Generator:
+        """Concurrent send+recv (the Fig 10 ring-exchange primitive)."""
+        req = self.isend(dest, nbytes, tag, payload)
+        env = yield from self.recv(source, tag)
+        yield from req.wait()
+        return env
+
+    def compute(self, seconds: float) -> Generator:
+        """Local computation for ``seconds`` of simulated time."""
+        if seconds < 0:
+            raise ConfigError("compute time must be non-negative")
+        return self._compute(seconds)
+
+    # --------------------------------------------------------- collectives
+
+    def _coll(
+        self,
+        kind: str,
+        value: Any,
+        nbytes: int,
+        deadline: Optional[float],
+        root: int = 0,
+        op: Optional[Callable] = None,
+    ) -> Generator:
+        if nbytes < 0:
+            raise ConfigError("nbytes must be non-negative")
+        if deadline is not None and deadline <= 0:
+            raise ConfigError(f"deadline must be positive, got {deadline!r}")
+        seq = self._coll_seq
+        self._coll_seq = seq + 1
+        return self._collective(seq, kind, value, nbytes, root, op, deadline)
+
+    def barrier(self, deadline: Optional[float] = None) -> Generator:
+        """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges.
+
+        ``deadline`` (here and on every collective) bounds the call in
+        simulated seconds; see :meth:`Communicator._bounded`.
+        """
+        if self.size == 1:
+            return _returning()
+        return self._coll("barrier", None, 0, deadline)
+
+    def bcast(
+        self, value: Any, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        self._check_peer(root)
+        return self._coll("bcast", value, nbytes, deadline, root)
+
+    def reduce(
+        self, value: Any, op=None, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        self._check_peer(root)
+        return self._coll("reduce", value, nbytes, deadline, root, op)
+
+    def allreduce(
+        self, value: Any, op=None, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        return self._coll("allreduce", value, nbytes, deadline, op=op)
+
+    def allgather(
+        self, value: Any, nbytes: int = 8, deadline: Optional[float] = None
+    ) -> Generator:
+        return self._coll("allgather", value, nbytes, deadline)
+
+    def alltoall(
+        self, values, nbytes: int = 8, deadline: Optional[float] = None
+    ) -> Generator:
+        if values is not None and len(values) != self.size:
+            raise ConfigError(
+                f"alltoall needs {self.size} values, got {len(values)}"
+            )
+        return self._coll("alltoall", values, nbytes, deadline)
+
+    def gather(
+        self, value: Any, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        self._check_peer(root)
+        return self._coll("gather", value, nbytes, deadline, root)
+
+    def scatter(
+        self, values, root: int = 0, nbytes: int = 8,
+        deadline: Optional[float] = None,
+    ) -> Generator:
+        self._check_peer(root)
+        if self.rank == root and (values is None or len(values) != self.size):
+            raise ConfigError(f"scatter root needs {self.size} values")
+        return self._coll("scatter", values, nbytes, deadline, root)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{type(self).__name__} rank {self.rank}/{self.size}>"
+
+
+class Communicator(BaseCommunicator):
+    """One rank's view of the simulated communicator on the event engine.
 
     Parameters
     ----------
@@ -156,48 +401,17 @@ class Communicator:
         self._trace_pid = trace_pid
         self._trace_tid = f"rank{rank}"
         self._fast = fast
-        self._fast_seq = 0  # this rank's fast-collective call counter
+        self._coll_seq = 0
         self._faults = faults
         self._verifier = verifier
 
-    # ------------------------------------------------------------ plumbing
-
-    def _check_peer(self, peer: int) -> None:
-        if not (0 <= peer < self.size):
-            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
-
-    def fabric(self, peer: int) -> Any:
-        return self._fabric_for(self.rank, peer)
-
-    @property
-    def now(self) -> float:
+    def _clock(self) -> float:
         return self.engine.now
 
     # ------------------------------------------------------- point-to-point
 
-    def send(
-        self,
-        dest: int,
-        nbytes: int,
-        tag: int = 0,
-        payload: Any = None,
-        pattern: str = "neighbor",
-        _lane: Optional[str] = None,
-        timeout: Optional[float] = None,
-        max_retries: int = 0,
-    ) -> Generator:
-        """Blocking send (eager detaches after local copy; rendezvous
-        blocks until the receiver matches).
-
-        ``timeout`` bounds the rendezvous wait for a matching receiver
-        in simulated seconds; after ``max_retries`` further waits of the
-        same length, the unmatched envelope is withdrawn and
-        :class:`~repro.errors.TimeoutExpired` propagates.  Eager sends
-        never wait on the peer and ignore the bound.
-        """
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
+    def _send(self, dest, nbytes, tag, payload, pattern, lane, timeout,
+              max_retries) -> Generator:
         tr = active(self.tracer)
         sp = None
         if tr is not None:
@@ -206,7 +420,7 @@ class Communicator:
                 f"send->{dest}",
                 cat="mpi.p2p",
                 pid=self._trace_pid,
-                tid=_lane or self._trace_tid,
+                tid=lane or self._trace_tid,
                 args={"nbytes": nbytes, "tag": tag},
             )
         fabric = self.fabric(dest)
@@ -252,22 +466,7 @@ class Communicator:
             if tr is not None:
                 tr.end(sp)
 
-    def recv(
-        self,
-        source: Optional[int] = ANY_SOURCE,
-        tag: Optional[int] = ANY_TAG,
-        _lane: Optional[str] = None,
-        timeout: Optional[float] = None,
-        max_retries: int = 0,
-    ) -> Generator:
-        """Blocking receive; returns the matched :class:`Envelope`.
-
-        ``timeout`` bounds the wait for a matching message in simulated
-        seconds; the matcher is re-posted ``max_retries`` times before
-        :class:`~repro.errors.TimeoutExpired` propagates.
-        """
-        if source is not None:
-            self._check_peer(source)
+    def _recv(self, source, tag, lane, timeout, max_retries) -> Generator:
         tr = active(self.tracer)
         sp = None
         if tr is not None:
@@ -275,7 +474,7 @@ class Communicator:
                 "recv",
                 cat="mpi.p2p",
                 pid=self._trace_pid,
-                tid=_lane or self._trace_tid,
+                tid=lane or self._trace_tid,
                 args={"source": source, "tag": tag},
             )
         try:
@@ -324,12 +523,8 @@ class Communicator:
             if tr is not None and sp is not None:
                 tr.end(sp)
 
-    def isend(
-        self, dest: int, nbytes: int, tag: int = 0, payload: Any = None
-    ) -> Request:
-        """Non-blocking send; returns a :class:`Request`.
-
-        Without an active tracer the worker generator is elided: the
+    def _isend(self, dest, nbytes, tag, payload) -> Request:
+        """Without an active tracer the worker generator is elided: the
         envelope is deposited synchronously (same instant, same mailbox
         order a spawned worker would produce) and the request completes
         via a process-less timer (eager) or the envelope's own done
@@ -337,9 +532,6 @@ class Communicator:
         lands on the ``.nb`` lane.
         """
         if active(self.tracer) is None:
-            self._check_peer(dest)
-            if nbytes < 0:
-                raise ConfigError("nbytes must be non-negative")
             engine = self.engine
             fabric = self.fabric(dest)
             env = Envelope(
@@ -364,17 +556,15 @@ class Communicator:
                 req = Request(env.done, keep_value=False)
             return self._register(req, "isend", dest, tag)
         proc = self.engine.spawn(
-            self.send(dest, nbytes, tag, payload, _lane=self._nb_lane),
+            self._send(dest, nbytes, tag, payload, "neighbor", self._nb_lane,
+                       None, 0),
             name=f"isend[{self.rank}->{dest}]",
         )
         return self._register(Request(proc.done), "isend", dest, tag)
 
-    def irecv(
-        self, source: Optional[int] = ANY_SOURCE, tag: Optional[int] = ANY_TAG
-    ) -> Request:
-        """Non-blocking receive; ``wait()`` returns the :class:`Envelope`."""
+    def _irecv(self, source, tag) -> Request:
         proc = self.engine.spawn(
-            self.recv(source, tag, _lane=self._nb_lane),
+            self._recv(source, tag, self._nb_lane, None, 0),
             name=f"irecv[{self.rank}<-{source}]",
         )
         return self._register(Request(proc.done), "irecv", source, tag)
@@ -399,42 +589,55 @@ class Communicator:
         """
         return f"{self._trace_tid}.nb"
 
-    def sendrecv(
-        self,
-        dest: int,
-        source: int,
-        nbytes: int,
-        tag: int = 0,
-        payload: Any = None,
-    ) -> Generator:
-        """Concurrent send+recv (the Fig 10 ring-exchange primitive)."""
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
-    # ----------------------------------------------------------- utilities
-
-    def compute(self, seconds: float) -> Generator:
-        """Local computation for ``seconds`` of simulated time.
-
-        An active :class:`~repro.faults.Straggler` targeting this rank
-        stretches the time by its slowdown factor.
-        """
-        if seconds < 0:
-            raise ConfigError("compute time must be non-negative")
+    def _compute(self, seconds: float) -> Generator:
+        """An active :class:`~repro.faults.Straggler` targeting this rank
+        stretches the time by its slowdown factor."""
         if self._faults is not None:
             seconds *= self._faults.compute_factor(self.rank, self.engine.now)
         yield Timeout(seconds)
 
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        """Dissemination barrier: ⌈log2 p⌉ rounds of zero-byte exchanges."""
-        if self.size == 1:
-            return
-        if deadline is None and self._use_fast():
-            yield from self._fast_collective("barrier", None, 0)
-            return
-        yield from self._run_coll("barrier", self._barrier_body(), 0, deadline)
+    # --------------------------------------------------------- collectives
+    # The algorithms live in repro.mpi.collectives (imported lazily to
+    # avoid a cycle at import time).  On uniform jobs without an active
+    # tracer the symmetric collectives short-circuit to the analytic fast
+    # path (repro.mpi.fastpath), which reproduces DES timing to float
+    # precision; gather, scatter and deadline-bounded calls always step.
+
+    def _use_fast(self) -> bool:
+        return (
+            self._fast is not None
+            and self.size > 1
+            and active(self.tracer) is None
+        )
+
+    def _collective(self, seq, kind, value, nbytes, root, op,
+                    deadline) -> Generator:
+        from repro.mpi import collectives as c
+
+        if kind == "alltoall" and self._faults is not None:
+            # Memory pressure makes the Fig 14-style alltoall OOM fire at
+            # smaller messages than the healthy card's 8 GiB would allow.
+            self._faults.check_alltoall(self.size, nbytes)
+        if deadline is None and kind in _FAST_KINDS and self._use_fast():
+            return self._fast.run(self, seq, kind, value, nbytes, root, op)
+        if kind == "bcast":
+            body = c.bcast(self, value, root, nbytes)
+        elif kind == "reduce":
+            body = c.reduce(self, value, op, root, nbytes)
+        elif kind == "allreduce":
+            body = c.allreduce(self, value, op, nbytes)
+        elif kind == "allgather":
+            body = c.allgather(self, value, nbytes)
+        elif kind == "alltoall":
+            body = c.alltoall(self, value, nbytes)
+        elif kind == "gather":
+            body = c.gather(self, value, root, nbytes)
+        elif kind == "scatter":
+            body = c.scatter(self, value, root, nbytes)
+        else:
+            body = self._barrier_body()
+        rooted = root if kind in c.ROOTED_COLLECTIVES else None
+        return self._run_coll(kind, body, nbytes, deadline, rooted)
 
     def _barrier_body(self) -> Generator:
         p = self.size
@@ -447,20 +650,6 @@ class Communicator:
             yield from self.sendrecv(dest, src, nbytes=0, tag=tag)
             k *= 2
             round_no += 1
-
-    # ----------------------------------------------------------- tracing
-
-    def phase(self, name: str, cat: str = "app.phase") -> Any:
-        """Context manager spanning an application phase on this rank's
-        timeline lane (a no-op without a tracer)::
-
-            with comm.phase("iter3"):
-                z = yield from conj_grad(x)
-        """
-        tr = active(self.tracer)
-        if tr is None:
-            return NULL_CONTEXT
-        return tr.span(name, cat=cat, pid=self._trace_pid, tid=self._trace_tid)
 
     def _coll_span(self, name: str, nbytes: int) -> Any:
         tr = active(self.tracer)
@@ -477,29 +666,6 @@ class Communicator:
     def _coll_end(self, span: Any) -> None:
         if span is not None and self.tracer is not None:
             self.tracer.end(span)
-
-    # --------------------------------------------------------- collectives
-    # Implemented in repro.mpi.collectives as algorithms over this p2p
-    # layer; bound here for ergonomic access (imported lazily to avoid a
-    # cycle at import time).  On uniform jobs without an active tracer the
-    # symmetric collectives short-circuit to the analytic fast path
-    # (repro.mpi.fastpath), which reproduces DES timing to float precision.
-
-    def _fast_collective(self, kind: str, value: Any, nbytes: int,
-                         root: int = 0, op=None) -> Generator:
-        seq = self._fast_seq
-        self._fast_seq += 1
-        result = yield from self._fast.run(
-            self, seq, kind, value, nbytes, root=root, op=op
-        )
-        return result
-
-    def _use_fast(self) -> bool:
-        return (
-            self._fast is not None
-            and self.size > 1
-            and active(self.tracer) is None
-        )
 
     def _run_coll(
         self,
@@ -535,8 +701,6 @@ class Communicator:
         this rank is raised into the caller instead of hanging — e.g. a
         symmetric-mode job whose peer rank crashed mid-collective.
         """
-        if deadline <= 0:
-            raise ConfigError(f"deadline must be positive, got {deadline!r}")
         proc = self.engine.spawn(
             gen, name=f"{kind}.deadline[rank{self.rank}]"
         )
@@ -558,107 +722,3 @@ class Communicator:
                     pass
             raise
         return result
-
-    def bcast(
-        self, value: Any, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            self._check_peer(root)
-            return (yield from self._fast_collective("bcast", value, nbytes,
-                                                     root=root))
-        result = yield from self._run_coll(
-            "bcast", collectives.bcast(self, value, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def reduce(
-        self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            self._check_peer(root)
-            return (yield from self._fast_collective("reduce", value, nbytes,
-                                                     root=root, op=op))
-        result = yield from self._run_coll(
-            "reduce", collectives.reduce(self, value, op, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def allreduce(
-        self, value: Any, op=None, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("allreduce", value,
-                                                     nbytes, op=op))
-        result = yield from self._run_coll(
-            "allreduce", collectives.allreduce(self, value, op, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def allgather(
-        self, value: Any, nbytes: int = 8, deadline: Optional[float] = None
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("allgather", value, nbytes))
-        result = yield from self._run_coll(
-            "allgather", collectives.allgather(self, value, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def alltoall(
-        self, values, nbytes: int = 8, deadline: Optional[float] = None
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        if self._faults is not None:
-            # Memory pressure makes the Fig 14-style alltoall OOM fire at
-            # smaller messages than the healthy card's 8 GiB would allow.
-            self._faults.check_alltoall(self.size, nbytes)
-        if deadline is None and self._use_fast():
-            return (yield from self._fast_collective("alltoall", values, nbytes))
-        result = yield from self._run_coll(
-            "alltoall", collectives.alltoall(self, values, nbytes),
-            nbytes, deadline,
-        )
-        return result
-
-    def gather(
-        self, value: Any, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from self._run_coll(
-            "gather", collectives.gather(self, value, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def scatter(
-        self, values, root: int = 0, nbytes: int = 8,
-        deadline: Optional[float] = None,
-    ) -> Generator:
-        from repro.mpi import collectives
-
-        result = yield from self._run_coll(
-            "scatter", collectives.scatter(self, values, root, nbytes),
-            nbytes, deadline, root=root,
-        )
-        return result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Communicator rank {self.rank}/{self.size}>"

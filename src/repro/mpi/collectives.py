@@ -262,14 +262,13 @@ def _allgather_ring(comm: Communicator, value: Any, nbytes: int) -> Generator:
 def alltoall(comm: Communicator, values: List[Any], nbytes: int = 8) -> Generator:
     """Pairwise-exchange alltoall; ``values[i]`` goes to rank ``i``.
 
-    Returns the list of received values in source-rank order.  Raises
+    Returns the list of received values in source-rank order (the
+    communicator checked ``len(values)`` before calling).  Raises
     :class:`~repro.errors.OutOfMemoryError` when the library's internal
     per-pair buffers would exceed the device memory (checked by the
     caller/runtime via :func:`alltoall_memory_required`).
     """
     p = comm.size
-    if values is not None and len(values) != p:
-        raise ConfigError(f"alltoall needs {p} values, got {len(values)}")
     result: List[Any] = [None] * p
     result[comm.rank] = values[comm.rank] if values is not None else None
     for round_no in range(1, p):
@@ -319,12 +318,11 @@ def gather(
 def scatter(
     comm: Communicator, values: Optional[List[Any]], root: int = 0, nbytes: int = 8
 ) -> Generator:
-    """Binomial-tree scatter; every rank returns its own block."""
+    """Binomial-tree scatter; every rank returns its own block (the
+    communicator checked the root's ``values`` before calling)."""
     p = comm.size
     vrank = (comm.rank - root) % p
     if comm.rank == root:
-        if values is None or len(values) != p:
-            raise ConfigError(f"scatter root needs {p} values")
         blocks = {i: values[(i + root) % p] for i in range(p)}  # keyed by vrank
     else:
         blocks = {}

@@ -29,12 +29,12 @@ This module compiles them instead, in three stages:
    stay on the replay path and materialize lazily on first access.
 
 3. **Max-plus replay.**  Rank mains run unmodified against a
-   :class:`_ReplayComm` — a drop-in for the stepped
-   :class:`~repro.mpi.api.Communicator` that advances a per-rank scalar
-   clock through the engine's *exact* timing recurrences (eager
-   completion ``max(recv_post, send_post + tp)``, rendezvous
-   ``max(recv_post, send_post) + tp``, analytic collective schedules)
-   instead of stepping envelopes through the event queue.  Payloads are
+   :class:`_ReplayComm`, the replay backend behind the shared
+   :class:`~repro.mpi.api.BaseCommunicator` front-end, which advances
+   a per-rank scalar clock through the engine's *exact* timing
+   recurrences (eager completion ``max(recv_post, send_post + tp)``,
+   rendezvous ``max(recv_post, send_post) + tp``, analytic collective
+   schedules) instead of stepping envelopes through the event queue.  Payloads are
    moved for real, so results are bit-identical; times agree with the
    stepped engine to float precision (the test suite gates 1e-9).
 
@@ -47,15 +47,9 @@ This module compiles them instead, in three stages:
    without replaying, let alone stepping, anything.  Vector-priced jobs
    memoize their elapsed time only (returns stay lazy).
 
-A measured crossover heuristic (:func:`_stepped_predicted_cheaper`)
-guards the scalar replay: per-op costs put the stepped engine at
-~``STEP_EVENTS_PER_OP × STEP_COST_S`` against the replay's
-``REPLAY_OP_COST_S`` per op, so replay is preferred whenever its per-op
-cost is lower — both walls scale with the same op count, making the
-decision size-independent.  Jobs that carry a tracer, verifier or fault
-plan, run on a resolver or time-varying fabric, or were built with
-``fast_collectives=False`` never enter the replay: they go straight to
-the stepped engine.
+Jobs that carry a tracer, verifier or fault plan, run on a resolver or
+time-varying fabric, or were built with ``fast_collectives=False`` never
+enter the replay: they go straight to the stepped engine.
 """
 
 from __future__ import annotations
@@ -66,13 +60,11 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.analyze.staticcheck import rank_program_profile
 from repro.errors import ConfigError
-from repro.mpi.collectives import ROOTED_COLLECTIVES, SCHEDULES
+from repro.mpi.api import BaseCommunicator
 from repro.mpi.fabrics import Fabric
-from repro.mpi.fastpath import _RESULTS
-from repro.mpi.messages import ANY_SOURCE, ANY_TAG
+from repro.mpi.fastpath import Rendezvous
 from repro.mpi.phasec import LowerFallback, lower, price
 from repro.mpi.runtime import JobResult, MpiJob, RankMain
-from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import HAVE_NUMPY
 from repro.simcore import Engine, Timeout
 
@@ -88,33 +80,6 @@ __all__ = [
 #: automatically: numpy dispatch overhead beats the scalar replay's
 #: trampoline on tiny clock vectors (pass ``vector=True`` to force it).
 VECTOR_MIN_RANKS = 128
-
-#: Measured per-step cost of the event engine (generator resumption +
-#: envelope match + heap ops), seconds.
-STEP_COST_S = 5.6e-6
-
-#: Measured per-op cost of the scalar replay trampoline, seconds.
-REPLAY_OP_COST_S = 2.4e-6
-
-#: Engine steps one replay op corresponds to (an eager p2p is ~a dozen
-#: engine events but a single replay delivery).
-STEP_EVENTS_PER_OP = 14.0
-
-
-def _stepped_predicted_cheaper() -> bool:
-    """Crossover heuristic: would the stepped engine out-price the
-    scalar replay on this job?
-
-    Both predicted walls are proportional to the same op count
-    (``ops × STEP_EVENTS_PER_OP × STEP_COST_S`` vs
-    ``ops × REPLAY_OP_COST_S``), so the op count cancels and the
-    decision reduces to comparing per-op costs.  With the measured
-    constants the replay always wins — the 0.73x-at-P=64 point in the
-    original baseline was one-time import cost, since hoisted — but the
-    guard stays live so re-measured constants (or tests) can flip it.
-    """
-    return STEP_EVENTS_PER_OP * STEP_COST_S < REPLAY_OP_COST_S
-
 
 class ReplayFallback(Exception):
     """The job uses a construct the max-plus replay cannot express.
@@ -180,7 +145,7 @@ class _REnv:
 
 
 class _ReplayRequest:
-    """Handle for a replayed ``isend`` (mirrors the Request contract)."""
+    """Handle for a replayed ``isend``: ``wait()`` advances its owner's clock."""
 
     __slots__ = ("_job", "_owner", "_env", "_ready_at", "cancelled")
 
@@ -216,72 +181,32 @@ class _ReplayRequest:
     completed = complete
 
 
-class _CollInst:
-    """One collective occurrence in the replay (duck-typed for _RESULTS)."""
+class _ReplayComm(BaseCommunicator):
+    """The replay backend: one rank's communicator on a scalar clock.
 
-    __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
-                 "pending", "parked", "resolved", "finishes", "results",
-                 "resolve_time")
-
-    def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
-        self.kind = kind
-        self.nbytes = nbytes
-        self.root = root
-        self.op = op
-        self.arrivals: List[float] = [0.0] * size
-        self.values: List[Any] = [None] * size
-        self.pending = size
-        self.parked: List[int] = []
-        self.resolved = False
-        self.finishes: List[float] = []
-        self.results: List[Any] = []
-        self.resolve_time = 0.0
-
-
-class _ReplayComm:
-    """A rank's communicator view inside the max-plus replay.
-
-    Method-compatible with the stepped :class:`~repro.mpi.api.Communicator`
-    for everything a static job may call; operations outside the replayed
-    vocabulary (wildcard receives, ``irecv``, timeouts, deadlines) raise
-    :class:`ReplayFallback`, which sends the whole job back to the
-    stepped engine.
+    Operations outside the replayed vocabulary (wildcard receives,
+    ``irecv``, timeouts, deadlines) raise :class:`ReplayFallback`, which
+    sends the whole job back to the stepped engine.
     """
 
-    __slots__ = ("_job", "rank", "size", "_coll_seq")
+    __slots__ = ("_job", "rank", "size", "_coll_seq", "_fabric_for")
 
     def __init__(self, job: "_ReplayJob", rank: int):
         self._job = job
         self.rank = rank
         self.size = job.size
         self._coll_seq = 0
+        self._fabric_for = job.fabric_for
 
-    # ------------------------------------------------------------ plumbing
-
-    def _check_peer(self, peer: int) -> None:
-        if not (0 <= peer < self.size):
-            raise ConfigError(f"peer rank {peer} out of range (size {self.size})")
-
-    def fabric(self, peer: int) -> Any:
-        return self._job.fabric
-
-    @property
-    def now(self) -> float:
+    def _clock(self) -> float:
         return self._job.clocks[self.rank]
-
-    def phase(self, name: str, cat: str = "app.phase") -> Any:
-        return NULL_CONTEXT
 
     # ------------------------------------------------------- point-to-point
 
-    def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None,
-             pattern: str = "neighbor", _lane: Optional[str] = None,
-             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
+    def _send(self, dest, nbytes, tag, payload, pattern, lane, timeout,
+              max_retries) -> Generator:
         if timeout is not None:
             raise ReplayFallback("timeout-bounded send")
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
         job = self._job
         fabric = job.fabric
         clock = job.clocks[self.rank]
@@ -299,16 +224,13 @@ class _ReplayComm:
         job.clocks[self.rank] = env.done_time
         return None
 
-    def recv(self, source: Optional[int] = ANY_SOURCE,
-             tag: Optional[int] = ANY_TAG, _lane: Optional[str] = None,
-             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
+    def _recv(self, source, tag, lane, timeout, max_retries) -> Generator:
         if timeout is not None:
             raise ReplayFallback("timeout-bounded recv")
         if source is None:
             # Which sender wins an ANY_SOURCE match depends on wall-clock
             # message order — inherently dynamic, so the engine decides.
             raise ReplayFallback("wildcard-source recv")
-        self._check_peer(source)
         job = self._job
         queue = job.queue(self.rank, source)
         while True:
@@ -332,11 +254,7 @@ class _ReplayComm:
             job.wake(env.waiter)
         return env
 
-    def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> _ReplayRequest:
-        self._check_peer(dest)
-        if nbytes < 0:
-            raise ConfigError("nbytes must be non-negative")
+    def _isend(self, dest, nbytes, tag, payload) -> _ReplayRequest:
         job = self._job
         fabric = job.fabric
         clock = job.clocks[self.rank]
@@ -351,148 +269,42 @@ class _ReplayComm:
             return _ReplayRequest(job, self.rank, env, ready)
         return _ReplayRequest(job, self.rank, env, None)
 
-    def irecv(self, source: Optional[int] = ANY_SOURCE,
-              tag: Optional[int] = ANY_TAG):
+    def _irecv(self, source, tag) -> Any:
         # A concurrent receive process overlapping the rank's own blocking
         # operations has no single-clock equivalent.
         raise ReplayFallback("irecv")
 
-    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
-                 payload: Any = None) -> Generator:
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
-    # ----------------------------------------------------------- utilities
-
-    def compute(self, seconds: float) -> Generator:
-        if seconds < 0:
-            raise ConfigError("compute time must be non-negative")
+    def _compute(self, seconds: float) -> Generator:
         yield Timeout(seconds)
 
     # --------------------------------------------------------- collectives
 
-    def _collective(self, kind: str, value: Any, nbytes: int,
-                    root: int = 0, op: Optional[Callable] = None) -> Generator:
+    def _collective(self, seq, kind, value, nbytes, root, op,
+                    deadline) -> Generator:
+        if deadline is not None:
+            raise ReplayFallback("deadline-bounded collective")
         job = self._job
-        p = self.size
-        seq = self._coll_seq
-        self._coll_seq += 1
-        inst = job.coll_instances.get(seq)
-        if inst is None:
-            inst = job.coll_instances[seq] = _CollInst(p, kind, nbytes, root, op)
-        elif (kind, nbytes, root) != (inst.kind, inst.nbytes, inst.root):
-            # The stepped fallback (whose fast path raises ConfigError on
-            # exactly this mismatch) reports the real error.
-            raise ReplayFallback(
-                f"mismatched collective calls: {inst.kind} vs {kind}"
-            )
-        inst.arrivals[self.rank] = job.clocks[self.rank]
-        inst.values[self.rank] = value
-        inst.pending -= 1
-        if inst.pending > 0:
-            inst.parked.append(self.rank)
-            while not inst.resolved:
-                yield _PARK
-        else:
-            del job.coll_instances[seq]
-            inst.finishes = SCHEDULES[kind](
-                job.fabric, p, nbytes,
-                **({"root": root} if kind in ROOTED_COLLECTIVES else {}),
-                arrivals=inst.arrivals,
-            )
-            inst.results = _RESULTS[kind](inst)
-            inst.resolve_time = max(inst.arrivals)
-            inst.resolved = True
-            job.replay_ops += 1
-            for r in inst.parked:
-                job.wake(r)
-        # Parked ranks resume at the resolution instant, so a finish that
-        # precedes it is clamped — mirroring the fast path exactly.
-        job.clocks[self.rank] = max(
-            inst.finishes[self.rank], inst.resolve_time
+        rank = self.rank
+        inst = Rendezvous.join(
+            job.coll_instances, seq, self.size, kind, nbytes, root, op
         )
-        return inst.results[self.rank]
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return
-        yield from self._collective("barrier", None, 0)
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
-              deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return value
-        return (yield from self._collective("bcast", value, nbytes, root=root))
-
-    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return value
-        return (yield from self._collective("reduce", value, nbytes,
-                                            root=root, op=op))
-
-    def allreduce(self, value: Any, op=None, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return value
-        return (yield from self._collective("allreduce", value, nbytes, op=op))
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if self.size == 1:
-            return [value]
-        return (yield from self._collective("allgather", value, nbytes))
-
-    def alltoall(self, values, nbytes: int = 8,
-                 deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        if values is not None and len(values) != self.size:
-            raise ConfigError(
-                f"alltoall needs {self.size} values, got {len(values)}"
-            )
-        if self.size == 1:
-            return [values[0] if values is not None else None]
-        return (yield from self._collective("alltoall", values, nbytes))
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            return [value]
-        return (yield from self._collective("gather", value, nbytes,
-                                            root=root))
-
-    def scatter(self, values, root: int = 0, nbytes: int = 8,
-                deadline: Optional[float] = None) -> Generator:
-        if deadline is not None:
-            raise ReplayFallback("deadline-bounded collective")
-        self._check_peer(root)
-        if self.size == 1:
-            if values is None or len(values) != 1:
-                raise ConfigError("scatter root needs 1 values")
-            return values[0]
-        return (yield from self._collective("scatter", values, nbytes,
-                                            root=root))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<_ReplayComm rank {self.rank}/{self.size}>"
+        if inst.arrive(rank, job.clocks[rank], value):
+            del job.coll_instances[seq]
+            inst.resolve(job.fabric)
+            # Parked ranks resume at the resolution instant, so a finish
+            # that precedes it is clamped — as on the fast path.
+            last = max(inst.arrivals)
+            inst.finishes = [max(f, last) for f in inst.finishes]
+            job.replay_ops += 1
+            for r in inst.waiters:
+                if r is not None:
+                    job.wake(r)
+        else:
+            inst.waiters[rank] = rank
+            while not inst.finishes:
+                yield _PARK
+        job.clocks[rank] = inst.finishes[rank]
+        return inst.results[rank]
 
 
 def _scan_queue(queue: Deque[_REnv], tag: Optional[int]) -> Optional[_REnv]:
@@ -518,7 +330,8 @@ class _ReplayJob:
         self.queues: Dict[Tuple[int, int], Deque[_REnv]] = {}
         #: (dest, source) -> rank parked waiting for a message on that edge.
         self.recv_wait: Dict[Tuple[int, int], int] = {}
-        self.coll_instances: Dict[int, _CollInst] = {}
+        self.fabric_for = lambda src, dst: fabric
+        self.coll_instances: Dict[int, Rendezvous] = {}
         #: Latest sender-side isend timer — the engine drains these even
         #: when unwaited, so they bound the job's elapsed time.
         self.horizon = 0.0
@@ -710,9 +523,6 @@ def _compile_or_none(
                 n_ranks=n_ranks,
                 returns_factory=_lazy_returns(n_ranks, fabric, main),
             )
-    if _stepped_predicted_cheaper():
-        st.reason = "crossover: stepped engine predicted cheaper"
-        return None
     job = _ReplayJob(n_ranks, fabric)
     try:
         result = job.run(main)
@@ -811,35 +621,24 @@ def job_fastpath(
     """Price an already-launched :class:`~repro.mpi.runtime.MpiJob`
     without stepping it, or return ``None`` when it must step.
 
-    This is the engine behind ``MpiJob.run(compiled=True)``: the job's
-    construction already encodes the stepped-only vetoes (tracer,
-    verifier, fault plan, resolver fabric, ``fast_collectives=False``
-    all leave ``job.fast`` unset), so eligibility reduces to a uniform
-    fast-collectives job whose engine has not stepped yet.
+    This is the engine behind ``MpiJob.run(compiled=True)``.  It refuses
+    what :func:`compiled_mpiexec` refuses, with the same reasons, and
+    also a job without a uniform fast-collectives fabric (construction
+    leaves ``job.fast`` unset then) or whose engine has already stepped.
     """
     st = stats if stats is not None else CompileStats()
-    main = job._main
-    if main is None:
-        st.reason = "job not launched"
-        return None
-    if job.tracer is not None:
-        st.reason = "tracer attached"
-        return None
-    if job.verifier is not None:
-        st.reason = "dynamic verifier armed"
-        return None
-    if job.fault_plan is not None:
-        st.reason = "fault plan armed"
-        return None
-    if job.fast is None:
-        st.reason = "no uniform fast-collectives fabric"
-        return None
-    if job.engine.now != 0 or job.engine.timeline() != 0:
-        st.reason = "engine already stepped"
-        return None
-    fabric = job.fast.fabric
-    if getattr(fabric, "time_varying", False):
-        st.reason = "time-varying fabric"
+    main, fast = job._main, job.fast
+    fabric = fast.fabric if fast is not None else None
+    reason = "job not launched" if main is None else _refusal(
+        job.n_ranks, fabric, None, job.tracer, None, job.fault_plan,
+        job.verifier,
+    )
+    if reason is None and fast is None:
+        reason = "no uniform fast-collectives fabric"
+    if reason is None and (job.engine.now != 0 or job.engine.timeline() != 0):
+        reason = "engine already stepped"
+    if reason is not None:
+        st.reason = reason
         return None
     n_ranks = job.n_ranks
     key = None

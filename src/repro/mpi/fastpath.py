@@ -11,8 +11,8 @@ timing is a deterministic function of the per-rank entry times, and
 
 This module short-circuits the six uniform-parameter collectives (bcast,
 reduce, allreduce, allgather, alltoall, barrier) on such *uniform* jobs:
-each rank
-deposits its value and arrival time into a shared per-job instance; the
+each rank deposits its value and arrival time into a shared
+:class:`Rendezvous` (the max-plus replay uses the same class); the
 last rank to arrive evaluates the exact schedule, computes every rank's
 result (replaying the algorithm's combination order, so payloads are
 bit-identical to the stepped run), and wakes the others.  Each rank then
@@ -43,14 +43,22 @@ from repro.mpi.collectives import ROOTED_COLLECTIVES, SCHEDULES
 from repro.simcore import Timeout, WaitEvent
 from repro.simcore.resources import Event
 
-__all__ = ["FastCollectives"]
+__all__ = ["FastCollectives", "Rendezvous"]
 
 
-class _Instance:
-    """One collective occurrence: the rendezvous of all ranks' arrivals."""
+class Rendezvous:
+    """One collective occurrence: every rank's arrival, resolved by the last.
+
+    Shared by the fast collectives and the max-plus replay
+    (:mod:`repro.mpi.compile`); only the wake mechanism differs, so
+    ``waiters[r]`` holds whatever handle rank ``r`` parked on — an
+    engine :class:`~repro.simcore.resources.Event` here, the rank number
+    in the replay's trampoline.  :meth:`resolve` prices the occurrence
+    through the exact schedule and computes every rank's result.
+    """
 
     __slots__ = ("kind", "nbytes", "root", "op", "arrivals", "values",
-                 "pending", "events")
+                 "pending", "waiters", "finishes", "results")
 
     def __init__(self, size: int, kind: str, nbytes: int, root: int, op):
         self.kind = kind
@@ -60,91 +68,100 @@ class _Instance:
         self.arrivals: List[float] = [0.0] * size
         self.values: List[Any] = [None] * size
         self.pending = size
-        self.events: List[Optional[Event]] = [None] * size
+        self.waiters: List[Any] = [None] * size
+        self.finishes: List[float] = []
+        self.results: List[Any] = []
 
-    def check(self, kind: str, nbytes: int, root: int) -> None:
-        if (kind, nbytes, root) != (self.kind, self.nbytes, self.root):
+    @classmethod
+    def join(cls, table: Dict[int, "Rendezvous"], seq: int, size: int,
+             kind: str, nbytes: int, root: int, op) -> "Rendezvous":
+        """Occurrence ``seq`` in ``table`` (created by its first arrival).
+
+        Every rank's n-th collective call joins occurrence n — the MPI
+        rule that all ranks issue collectives in the same sequence — so
+        a call whose parameters differ from the first arrival's raises
+        :class:`~repro.errors.ConfigError` instead of deadlocking.
+        """
+        inst = table.get(seq)
+        if inst is None:
+            inst = table[seq] = cls(size, kind, nbytes, root, op)
+        elif (kind, nbytes, root) != (inst.kind, inst.nbytes, inst.root):
             raise ConfigError(
-                f"mismatched collective calls: {self.kind}(nbytes={self.nbytes},"
-                f" root={self.root}) vs {kind}(nbytes={nbytes}, root={root})"
+                f"mismatched collective calls: {inst.kind}(nbytes={inst.nbytes},"
+                f" root={inst.root}) vs {kind}(nbytes={nbytes}, root={root})"
             )
+        return inst
+
+    def arrive(self, rank: int, now: float, value: Any) -> bool:
+        """Record ``rank``'s arrival; True when it is the last."""
+        self.arrivals[rank] = now
+        self.values[rank] = value
+        self.pending -= 1
+        return self.pending == 0
+
+    def resolve(self, fabric: Any) -> None:
+        """Fill :attr:`finishes` and :attr:`results` for every rank."""
+        self.finishes = SCHEDULES[self.kind](
+            fabric, len(self.arrivals), self.nbytes,
+            **({"root": self.root} if self.kind in ROOTED_COLLECTIVES else {}),
+            arrivals=self.arrivals,
+        )
+        self.results = _RESULTS[self.kind](self)
 
 
 class FastCollectives:
     """Shared per-job state driving the analytic collective fast path.
 
     One instance per :class:`~repro.mpi.runtime.MpiJob`; the job's
-    communicators all reference it.  Collective occurrences are matched
-    across ranks by call order (each rank's n-th fast collective joins
-    instance n — the MPI requirement that all ranks issue collectives in
-    the same sequence), and mismatched parameters raise
-    :class:`~repro.errors.ConfigError` instead of deadlocking.
+    communicators all reference it and match occurrences through
+    :class:`Rendezvous`.
     """
 
     def __init__(self, fabric: Any, size: int):
         self.fabric = fabric
         self.size = size
-        self._instances: Dict[int, _Instance] = {}
+        self._instances: Dict[int, Rendezvous] = {}
 
     # ------------------------------------------------------------- protocol
 
     def run(self, comm, seq: int, kind: str, value: Any,
             nbytes: int, root: int = 0, op: Optional[Callable] = None):
         """Generator driving one rank through collective occurrence ``seq``."""
-        inst = self._instances.get(seq)
-        if inst is None:
-            inst = self._instances[seq] = _Instance(
-                self.size, kind, nbytes, root, op
+        try:
+            inst = Rendezvous.join(
+                self._instances, seq, self.size, kind, nbytes, root, op
             )
-        else:
-            try:
-                inst.check(kind, nbytes, root)
-            except ConfigError as exc:
-                # Fail the ranks already parked on this occurrence so the
-                # job surfaces the mismatch instead of a secondary hang.
-                self._abort(seq, inst, exc)
-                raise
+        except ConfigError as exc:
+            # Fail the ranks already parked on this occurrence so the
+            # job surfaces the mismatch instead of a secondary hang.
+            self._abort(seq, exc)
+            raise
         rank = comm.rank
         engine = comm.engine
-        if kind == "alltoall" and value is not None and len(value) != self.size:
-            raise ConfigError(
-                f"alltoall needs {self.size} values, got {len(value)}"
-            )
-        inst.arrivals[rank] = engine.now
-        inst.values[rank] = value
-        inst.pending -= 1
-        if inst.pending > 0:
-            ev = Event(name=f"coll[{seq}].rank{rank}")
-            inst.events[rank] = ev
-            finish, result = yield WaitEvent(ev)
-        else:
+        if inst.arrive(rank, engine.now, value):
             del self._instances[seq]  # last arrival resolves the occurrence
-            finishes = SCHEDULES[kind](
-                self.fabric, self.size, nbytes,
-                **({"root": root} if kind in ROOTED_COLLECTIVES else {}),
-                arrivals=inst.arrivals,
-            )
-            results = _RESULTS[kind](inst)
-            for r in range(self.size):
-                ev_r = inst.events[r]
-                if ev_r is not None:
-                    ev_r.succeed((finishes[r], results[r]))
-            finish, result = finishes[rank], results[rank]
-        delay = finish - engine.now
+            inst.resolve(self.fabric)
+            for ev in inst.waiters:
+                if ev is not None:
+                    ev.succeed()
+        else:
+            ev = inst.waiters[rank] = Event(name=f"coll[{seq}].rank{rank}")
+            yield WaitEvent(ev)
+        delay = inst.finishes[rank] - engine.now
         if delay > 0:
             yield Timeout(delay)
-        return result
+        return inst.results[rank]
 
-    def _abort(self, seq: int, inst: _Instance, exc: ConfigError) -> None:
-        """Fail every rank parked on ``inst`` after a parameter mismatch.
+    def _abort(self, seq: int, exc: ConfigError) -> None:
+        """Fail every rank parked on occurrence ``seq`` after a mismatch.
 
         Without this, the mismatching rank's ConfigError kills the job's
         first run while the already-arrived ranks stay blocked on their
         events forever — a later ``run()`` would then report a deadlock
         instead of the real configuration error.
         """
-        self._instances.pop(seq, None)
-        for ev in inst.events:
+        inst = self._instances.pop(seq)
+        for ev in inst.waiters:
             if ev is None or ev.triggered:
                 continue
             waiters, ev._waiters = list(ev._waiters), []
@@ -163,11 +180,11 @@ class FastCollectives:
 # --------------------------------------------------------------------------
 
 
-def _bcast_results(inst: _Instance) -> List[Any]:
+def _bcast_results(inst: Rendezvous) -> List[Any]:
     return [inst.values[inst.root]] * len(inst.values)
 
 
-def _allreduce_results(inst: _Instance) -> List[Any]:
+def _allreduce_results(inst: Rendezvous) -> List[Any]:
     op = operator.add if inst.op is None else inst.op
     values = inst.values
     p = len(values)
@@ -194,11 +211,11 @@ def _allreduce_results(inst: _Instance) -> List[Any]:
     return out
 
 
-def _allgather_results(inst: _Instance) -> List[Any]:
+def _allgather_results(inst: Rendezvous) -> List[Any]:
     return [list(inst.values) for _ in inst.values]
 
 
-def _alltoall_results(inst: _Instance) -> List[Any]:
+def _alltoall_results(inst: Rendezvous) -> List[Any]:
     p = len(inst.values)
     return [
         [inst.values[src][dst] if inst.values[src] is not None else None
@@ -207,7 +224,7 @@ def _alltoall_results(inst: _Instance) -> List[Any]:
     ]
 
 
-def _reduce_results(inst: _Instance) -> List[Any]:
+def _reduce_results(inst: Rendezvous) -> List[Any]:
     op = operator.add if inst.op is None else inst.op
     values = inst.values
     p = len(values)
@@ -229,26 +246,21 @@ def _reduce_results(inst: _Instance) -> List[Any]:
     return out
 
 
-def _barrier_results(inst: _Instance) -> List[Any]:
+def _barrier_results(inst: Rendezvous) -> List[Any]:
     return [None] * len(inst.values)
 
 
-def _gather_results(inst: _Instance) -> List[Any]:
+def _gather_results(inst: Rendezvous) -> List[Any]:
     out: List[Any] = [None] * len(inst.values)
     out[inst.root] = list(inst.values)
     return out
 
 
-def _scatter_results(inst: _Instance) -> List[Any]:
-    p = len(inst.values)
-    vals = inst.values[inst.root]
-    if vals is None or len(vals) != p:
-        # Same error the executable algorithm raises at the root.
-        raise ConfigError(f"scatter root needs {p} values")
-    return list(vals)
+def _scatter_results(inst: Rendezvous) -> List[Any]:
+    return list(inst.values[inst.root])  # the communicator checked its length
 
 
-_RESULTS: Dict[str, Callable[[_Instance], List[Any]]] = {
+_RESULTS: Dict[str, Callable[[Rendezvous], List[Any]]] = {
     "bcast": _bcast_results,
     "reduce": _reduce_results,
     "allreduce": _allreduce_results,

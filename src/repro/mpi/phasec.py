@@ -50,14 +50,13 @@ import textwrap
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.mpi.api import BaseCommunicator
 from repro.mpi.collectives import (
     ROOTED_COLLECTIVES,
     SCHEDULES,
     _wire,
     array_schedule,
 )
-from repro.mpi.messages import ANY_SOURCE, ANY_TAG
-from repro.obs.tracer import NULL_CONTEXT
 from repro.perf.batch import HAVE_NUMPY, get_numpy, warn_scalar_fallback
 
 __all__ = ["LowerFallback", "Phase", "PhaseProgram", "clocks", "lower", "price"]
@@ -242,65 +241,46 @@ def _as_int(value: Any, what: str) -> int:
     return value
 
 
-class _TraceComm:
-    """One probe rank's communicator view during lowering.
+class _TraceComm(BaseCommunicator):
+    """The probe backend: one probe rank's communicator during lowering.
 
     Records a normalized op stream (peers as ring offsets) instead of
-    moving data.  Anything the phase IR cannot express raises
-    :class:`LowerFallback` — mirroring the vocabulary checks of
-    :class:`repro.mpi.compile._ReplayComm`, minus everything that needs
-    a clock.
+    moving data.  Anything the phase IR cannot express — non-constant
+    arguments, blocking sends, wildcard receives, ``irecv``, timeouts,
+    deadlines, clock observation — raises :class:`LowerFallback`.
     """
 
-    __slots__ = ("rank", "size", "stream", "_fabric", "_n_isend")
+    __slots__ = ("rank", "size", "stream", "_coll_seq", "_fabric_for",
+                 "_n_isend")
 
     def __init__(self, rank: int, size: int, fabric: Any):
         self.rank = rank
         self.size = size
         self.stream: List[Tuple[Any, ...]] = []
-        self._fabric = fabric
+        self._coll_seq = 0
+        self._fabric_for = lambda src, dst: fabric
         self._n_isend = 0
-
-    # ------------------------------------------------------------ plumbing
 
     def _record(self, op: Tuple[Any, ...]) -> None:
         self.stream.append(op)
 
     def _offset(self, peer: Any, what: str) -> int:
-        peer = _as_int(peer, what)
-        if not (0 <= peer < self.size):
-            raise LowerFallback(f"{what} {peer} out of range")
-        return (peer - self.rank) % self.size
+        return (_as_int(peer, what) - self.rank) % self.size
 
-    def _root(self, root: Any) -> int:
-        root = _as_int(root, "collective root")
-        if not (0 <= root < self.size):
-            raise LowerFallback(f"collective root {root} out of range")
-        return root
-
-    def fabric(self, peer: int) -> Any:
-        return self._fabric
-
-    @property
-    def now(self) -> float:
+    def _clock(self) -> float:
         raise LowerFallback("clock observation")
-
-    def phase(self, name: str, cat: str = "app.phase") -> Any:
-        return NULL_CONTEXT
 
     # ------------------------------------------------------- point-to-point
 
-    def send(self, *args: Any, **kw: Any) -> Generator:
+    def _send(self, *args: Any) -> Generator:
         # A blocking send's deadlock semantics under rendezvous sizes
         # belong to the replay/stepped paths.
         raise LowerFallback("blocking send")
 
-    def irecv(self, *args: Any, **kw: Any) -> Any:
+    def _irecv(self, source: Any, tag: Any) -> Any:
         raise LowerFallback("irecv")
 
-    def recv(self, source: Optional[int] = ANY_SOURCE,
-             tag: Optional[int] = ANY_TAG, _lane: Optional[str] = None,
-             timeout: Optional[float] = None, max_retries: int = 0) -> Generator:
+    def _recv(self, source, tag, lane, timeout, max_retries) -> Generator:
         if timeout is not None:
             raise LowerFallback("timeout-bounded recv")
         if source is None:
@@ -310,113 +290,50 @@ class _TraceComm:
             tag = _as_int(tag, "recv tag")
         self._record(("recv", off, tag))
         return _TraceEnv(source, self.rank, tag)
-        yield  # pragma: no cover - makes recv() a generator
+        yield  # pragma: no cover - makes _recv() a generator
 
-    def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> _TraceRequest:
+    def _isend(self, dest, nbytes, tag, payload) -> _TraceRequest:
         off = self._offset(dest, "isend dest")
         nbytes = _as_int(nbytes, "message size")
-        if nbytes < 0:
-            raise LowerFallback("negative message size")
         tag = _as_int(tag, "isend tag")
         idx = self._n_isend
         self._n_isend += 1
         self._record(("isend", off, nbytes, tag, idx))
         return _TraceRequest(self, idx)
 
-    def sendrecv(self, dest: int, source: int, nbytes: int, tag: int = 0,
-                 payload: Any = None) -> Generator:
-        req = self.isend(dest, nbytes, tag, payload)
-        env = yield from self.recv(source, tag)
-        yield from req.wait()
-        return env
-
-    # ----------------------------------------------------------- utilities
-
-    def compute(self, seconds: float) -> Generator:
-        if isinstance(seconds, _Opaque) or isinstance(seconds, bool) or \
-                not isinstance(seconds, (int, float)):
+    def _compute(self, seconds: float) -> Generator:
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
             raise LowerFallback("non-constant compute time")
-        if seconds < 0:
-            raise LowerFallback("negative compute time")
         self._record(("compute", float(seconds)))
         return None
-        yield  # pragma: no cover - makes compute() a generator
+        yield  # pragma: no cover - makes _compute() a generator
 
     # --------------------------------------------------------- collectives
 
-    def _collective(self, kind: str, nbytes: Any, root: Any,
-                    deadline: Optional[float]) -> None:
+    def _collective(self, seq, kind, value, nbytes, root, op,
+                    deadline) -> Generator:
         if deadline is not None:
             raise LowerFallback("deadline-bounded collective")
         nbytes = _as_int(nbytes, "collective size")
-        if nbytes < 0:
-            raise LowerFallback("negative collective size")
-        self._record(("coll", kind, nbytes, self._root(root)))
-
-    def barrier(self, deadline: Optional[float] = None) -> Generator:
-        self._collective("barrier", 0, 0, deadline)
-        return None
-        yield  # pragma: no cover
-
-    def bcast(self, value: Any, root: int = 0, nbytes: int = 8,
-              deadline: Optional[float] = None) -> Generator:
-        self._collective("bcast", nbytes, root, deadline)
-        return value if self.rank == root else _OPAQUE
-        yield  # pragma: no cover
-
-    def reduce(self, value: Any, op=None, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        self._collective("reduce", nbytes, root, deadline)
-        # Mirror the real per-rank shape (root gets the value, everyone
-        # else None) so an `is None` branch diverges across probes and
-        # fails the uniformity check instead of lowering wrongly.
-        return _OPAQUE if self.rank == root else None
-        yield  # pragma: no cover
-
-    def allreduce(self, value: Any, op=None, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        self._collective("allreduce", nbytes, 0, deadline)
-        return _OPAQUE
-        yield  # pragma: no cover
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  deadline: Optional[float] = None) -> Generator:
-        self._collective("allgather", nbytes, 0, deadline)
-        return [_OPAQUE] * self.size
-        yield  # pragma: no cover
-
-    def alltoall(self, values, nbytes: int = 8,
-                 deadline: Optional[float] = None) -> Generator:
-        if isinstance(values, _Opaque):
-            raise LowerFallback("opaque alltoall values")
-        if values is not None and len(values) != self.size:
-            raise LowerFallback("mis-sized alltoall values")
-        self._collective("alltoall", nbytes, 0, deadline)
-        return [_OPAQUE] * self.size
-        yield  # pragma: no cover
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               deadline: Optional[float] = None) -> Generator:
-        self._collective("gather", nbytes, root, deadline)
-        return [_OPAQUE] * self.size if self.rank == root else None
-        yield  # pragma: no cover
-
-    def scatter(self, values, root: int = 0, nbytes: int = 8,
-                deadline: Optional[float] = None) -> Generator:
-        if self.rank == root:
-            if isinstance(values, _Opaque):
-                raise LowerFallback("opaque scatter values")
-            if values is None or len(values) != self.size:
-                raise LowerFallback("mis-sized scatter values")
-        self._collective("scatter", nbytes, root, deadline)
-        if self.rank == root:
-            return values[self.rank]
-        return _OPAQUE
-        yield  # pragma: no cover
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<_TraceComm rank {self.rank}/{self.size}>"
+        root = _as_int(root, "collective root")
+        self._record(("coll", kind, nbytes, root))
+        # Results keep their real per-rank shape (root-only values,
+        # per-rank lists) with every unknowable value opaque, so an
+        # ``is None`` branch diverges across probes and fails the
+        # uniformity check instead of lowering wrongly.
+        mine = self.rank == root
+        if kind == "bcast":
+            return value if mine else _OPAQUE
+        if kind == "reduce":
+            return _OPAQUE if mine else None
+        if kind == "gather":
+            return [_OPAQUE] * self.size if mine else None
+        if kind == "scatter":
+            return value[self.rank] if mine else _OPAQUE
+        if kind in ("allgather", "alltoall"):
+            return [_OPAQUE] * self.size
+        return _OPAQUE if kind == "allreduce" else None
+        yield  # pragma: no cover - makes _collective() a generator
 
 
 # ------------------------------------------------------- static rank veto
@@ -551,9 +468,11 @@ def lower(main: Any, n_ranks: int, fabric: Any = None) -> PhaseProgram:
     Raises :class:`LowerFallback` when the program is not expressible —
     payload-dependent flow, rank-dependent branches, non-uniform op
     streams across the probe ranks, or any construct outside the
-    shift/collective/compute vocabulary.  ``fabric`` is only handed back
-    to programs that call ``comm.fabric(...)`` for constants; lowering
-    itself is fabric-independent.
+    shift/collective/compute vocabulary; a faulty argument (bad peer,
+    negative size, ...) raises the front-end's
+    :class:`~repro.errors.ConfigError` instead.  ``fabric`` is only
+    handed back to programs that call ``comm.fabric(...)`` for
+    constants; lowering itself is fabric-independent.
     """
     if n_ranks < 2:
         raise LowerFallback("trivial job (P < 2)")

@@ -34,7 +34,7 @@ from repro.simcore.process import (
     WaitEvent,
 )
 from repro.simcore.resources import Event, Resource, Store
-from repro.simcore.trace import Counter, Monitor, TimeSeries
+from repro.simcore.trace import Counter, TimeSeries
 
 __all__ = [
     "Acquire",
@@ -44,7 +44,6 @@ __all__ = [
     "Engine",
     "Event",
     "Get",
-    "Monitor",
     "Process",
     "Put",
     "Resource",

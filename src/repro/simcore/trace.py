@@ -1,17 +1,8 @@
-"""Lightweight instrumentation for simulations (legacy layer).
+"""Lightweight instrumentation for simulations.
 
 :class:`Counter` accumulates named totals (bytes moved, messages sent);
-:class:`TimeSeries` records (time, value) samples; :class:`Monitor`
-bundles both and is what higher layers historically accepted as an
-optional ``trace`` argument.
-
-.. deprecated::
-    :class:`Monitor` is superseded by :class:`repro.obs.tracer.Tracer`,
-    which records nested spans against the simulated clock and exports
-    Chrome traces, timelines and determinism digests.  ``Monitor``
-    remains as a shim: constructing one warns, and a monitor built with
-    ``Monitor(tracer=...)`` routes every ``add``/``record`` into the
-    tracer's counter stream so old call sites feed the new subsystem.
+:class:`TimeSeries` records (time, value) samples.  Spans, Chrome traces
+and determinism digests live in :class:`repro.obs.tracer.Tracer`.
 
 Long sweeps used to grow :class:`TimeSeries` without bound; pass
 ``max_samples`` to cap memory with a deterministic decimating reservoir
@@ -21,9 +12,8 @@ doubles, preserving an even spread over the whole run).
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class Counter:
@@ -121,48 +111,3 @@ class TimeSeries:
         total += v_last * max(0.0, horizon - t_last)
         span = horizon - self.samples[0][0]
         return total / span if span > 0 else self.samples[-1][1]
-
-
-class Monitor:
-    """Bundle of counters and time series used as a trace sink.
-
-    .. deprecated::
-        Use :class:`repro.obs.tracer.Tracer`.  This shim still works, and
-        when built with a ``tracer`` it forwards ``add``/``record`` calls
-        into the tracer's counter stream (category ``monitor``), so code
-        still holding a ``Monitor`` feeds the new observability layer.
-    """
-
-    def __init__(
-        self,
-        max_samples: Optional[int] = None,
-        tracer: Optional[Any] = None,
-    ) -> None:
-        warnings.warn(
-            "simcore.Monitor is deprecated; use repro.obs.Tracer "
-            "(spans, Chrome export, digests) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.counters = Counter()
-        self.max_samples = max_samples
-        self.tracer = tracer
-        self._series: Dict[str, TimeSeries] = {}
-
-    def series(self, name: str) -> TimeSeries:
-        ts = self._series.get(name)
-        if ts is None:
-            ts = self._series[name] = TimeSeries(name, max_samples=self.max_samples)
-        return ts
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self.counters.add(key, amount)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.counter(key, self.counters.total(key), cat="monitor")
-
-    def record(self, name: str, time: float, value: float) -> None:
-        self.series(name).record(time, value)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.counter(name, value, cat="monitor")

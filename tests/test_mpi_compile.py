@@ -430,9 +430,105 @@ def test_mismatched_collectives_raise_configerror():
         compiled_mpiexec(4, host_fabric(), _mismatch_main)
 
 
-def test_bad_peer_raises_configerror():
-    with pytest.raises(ConfigError, match="out of range"):
-        compiled_mpiexec(4, host_fabric(), _bad_peer_main)
+def _bad_root_bcast_main(comm):
+    return (yield from comm.bcast(1, root=9))
+
+
+def _bad_root_reduce_main(comm):
+    return (yield from comm.reduce(1, root=-1))
+
+
+def _bad_root_gather_main(comm):
+    return (yield from comm.gather(1, root=9))
+
+
+def _bad_root_scatter_main(comm):
+    return (yield from comm.scatter(list(range(comm.size)), root=9))
+
+
+def _negative_send_main(comm):
+    yield from comm.send((comm.rank + 1) % comm.size, nbytes=-1)
+
+
+def _negative_coll_main(comm):
+    return (yield from comm.allreduce(1, nbytes=-8))
+
+
+def _short_alltoall_main(comm):
+    return (yield from comm.alltoall([0] * (comm.size - 1)))
+
+
+def _short_scatter_main(comm):
+    return (yield from comm.scatter([0] * (comm.size - 1), root=0))
+
+
+def _negative_compute_main(comm):
+    yield from comm.compute(-1.0)
+
+
+def _bad_isend_main(comm):
+    req = comm.isend(9, 64)
+    yield from req.wait()
+
+
+def _bad_irecv_main(comm):
+    req = comm.irecv(-1)
+    yield from req.wait()
+
+
+#: Each faulty program and the one ConfigError message every path raises.
+CONFIG_ERRORS = {
+    "send-peer": (_bad_peer_main, "peer rank 7 out of range (size 4)"),
+    "bcast-root": (_bad_root_bcast_main, "peer rank 9 out of range (size 4)"),
+    "reduce-root": (_bad_root_reduce_main, "peer rank -1 out of range (size 4)"),
+    "gather-root": (_bad_root_gather_main, "peer rank 9 out of range (size 4)"),
+    "scatter-root": (_bad_root_scatter_main,
+                     "peer rank 9 out of range (size 4)"),
+    "send-nbytes": (_negative_send_main, "nbytes must be non-negative"),
+    "coll-nbytes": (_negative_coll_main, "nbytes must be non-negative"),
+    "alltoall-short": (_short_alltoall_main, "alltoall needs 4 values, got 3"),
+    "scatter-short": (_short_scatter_main, "scatter root needs 4 values"),
+    "compute-negative": (_negative_compute_main,
+                         "compute time must be non-negative"),
+    "isend-peer": (_bad_isend_main, "peer rank 9 out of range (size 4)"),
+    "irecv-peer": (_bad_irecv_main, "peer rank -1 out of range (size 4)"),
+}
+
+
+def _run_path(path, main):
+    from repro.obs import Tracer
+
+    fabric = host_fabric()
+    if path == "fast":
+        return mpiexec(4, fabric, main)
+    if path == "stepped":
+        return mpiexec(4, fabric, main, fast_collectives=False)
+    if path == "traced":
+        return mpiexec(4, fabric, main, tracer=Tracer())
+    if path == "replay":
+        return replay(4, fabric, main)
+    return compiled_mpiexec(4, fabric, main)
+
+
+@pytest.mark.parametrize(
+    "path", ("fast", "stepped", "traced", "replay", "compiled", "lower")
+)
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_agree_across_paths(case, path):
+    """A faulty program is the same error on every path: attaching a
+    tracer or compiling the job never turns it into a run or a different
+    message.  Lowering may refuse instead of raising it."""
+    from repro.mpi.phasec import LowerFallback, lower
+
+    main, message = CONFIG_ERRORS[case]
+    if path == "lower":
+        with pytest.raises((ConfigError, LowerFallback)) as info:
+            lower(main, 4, fabric=host_fabric())
+    else:
+        with pytest.raises(ConfigError) as info:
+            _run_path(path, main)
+    if info.type is ConfigError:
+        assert str(info.value) == message
 
 
 # ------------------------------------------------------- static pre-screen

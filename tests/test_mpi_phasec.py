@@ -19,8 +19,7 @@ Four contracts are gated here:
   once and produces identical numbers.
 * **Job routing** — ``compiled_mpiexec``/``MpiJob.run(compiled=True)``
   pick the vector path when asked, materialize per-rank returns lazily
-  through the replay, memoize elapsed-only entries, and honour the
-  crossover heuristic.
+  through the replay, and memoize elapsed-only entries.
 """
 
 from __future__ import annotations
@@ -220,6 +219,7 @@ def test_lower_refuses_sourceless_mains():
 
 
 def test_selection_vetoes_route_to_stepped():
+    from repro.analyze.verifier import Verifier
     from repro.faults import FaultPlan, Straggler
     from repro.faults.inject import DegradedFabric
     from repro.obs import Tracer
@@ -239,6 +239,16 @@ def test_selection_vetoes_route_to_stepped():
     compiled_mpiexec(8, degraded, main, stats=st, vector=True)
     assert st.path == "stepped"
     assert "time-varying" in st.reason
+    # A verifier-armed MpiJob run compiled=True gets compiled_mpiexec's
+    # reason, word for word.
+    via_exec, via_job = CompileStats(), CompileStats()
+    compiled_mpiexec(8, host_fabric(), main, stats=via_exec,
+                     verifier=Verifier(), vector=True)
+    job = MpiJob(8, host_fabric(), verifier=Verifier())
+    job.launch(main)
+    job.run(compiled=True, stats=via_job, vector=True)
+    assert via_job.path == via_exec.path == "stepped"
+    assert via_job.reason == via_exec.reason == "dynamic verifier armed"
 
 
 # ------------------------------------------------------- backend equivalence
@@ -385,18 +395,6 @@ def test_vector_memo_stores_elapsed_only():
     assert r2.elapsed == r1.elapsed
     # The memo entry holds no returns; the hit rebuilds them lazily.
     assert r2.returns == list(range(8))
-
-
-def test_crossover_heuristic_routes_to_stepped(monkeypatch):
-    monkeypatch.setattr(compile_mod, "REPLAY_OP_COST_S", 1.0)
-    assert compile_mod._stepped_predicted_cheaper()
-    main = partial(_halo_main, 256, 1)
-    st = CompileStats()
-    res = compiled_mpiexec(8, host_fabric(), main, stats=st, vector=False)
-    assert st.path == "stepped"
-    assert "crossover" in st.reason
-    assert st.engine_steps > 0
-    assert res.returns == mpiexec(8, host_fabric(), main).returns
 
 
 def test_lazy_jobresult_contract():

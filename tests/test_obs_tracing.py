@@ -8,7 +8,6 @@ timeline renderer, and the engine/MPI/offload instrumentation hooks.
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.obs import (
     trace_digest,
     trace_json,
 )
-from repro.simcore import Engine, Monitor, TimeSeries, Timeout
+from repro.simcore import Engine, TimeSeries, Timeout
 from repro.units import MiB
 
 
@@ -255,24 +254,10 @@ class TestInstrumentation:
         assert spans[1].ts == pytest.approx(spans[0].dur)
 
 
-# ------------------------------------------------- legacy Monitor shim
+# ------------------------------------------------------ TimeSeries bounds
 
 
 class TestMonitorShim:
-    def test_monitor_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            Monitor()
-
-    def test_monitor_forwards_into_tracer(self):
-        tr = Tracer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            mon = Monitor(tracer=tr)
-        mon.add("bytes", 4096)
-        mon.record("queue", 1.0, 3.0)
-        counters = [e for e in tr.events if e.ph == "C"]
-        assert {e.name for e in counters} == {"bytes", "queue"}
-
     def test_timeseries_bounded_reservoir(self):
         ts = TimeSeries(max_samples=16)
         for i in range(10_000):

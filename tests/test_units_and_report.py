@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.report import band_str, in_band, render_table
 from repro.core.sweep import message_size_sweep, phi_thread_counts
-from repro.simcore import Counter, Monitor, TimeSeries
+from repro.simcore import Counter, TimeSeries
 from repro.units import (
     GB,
     GiB,
@@ -116,15 +116,6 @@ class TestTrace:
         ts.record(1.0, 0.0)
         # 10 for one second, 0 for one second.
         assert ts.time_weighted_mean(2.0) == pytest.approx(5.0)
-
-    def test_monitor_bundles(self):
-        with pytest.warns(DeprecationWarning):
-            m = Monitor()
-        m.add("events", 2)
-        m.record("util", 0.0, 0.5)
-        m.record("util", 1.0, 0.7)
-        assert m.counters.total("events") == 2
-        assert m.series("util").max() == 0.7
 
     def test_empty_series_safe(self):
         ts = TimeSeries()
