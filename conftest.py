@@ -37,16 +37,13 @@ except ImportError:
 if not _HAVE_NUMPY:
     collect_ignore = [
         # Direct or transitive `import numpy` at module scope.
-        "tests/test_ablation.py",
         "tests/test_apps.py",
         "tests/test_batch_eval.py",
         "tests/test_cross_checks.py",
         "tests/test_extensions.py",
         "tests/test_microbench.py",
-        "tests/test_npb_characterization.py",
         "tests/test_npb_kernels.py",
         "tests/test_npb_mpi_versions.py",
-        "tests/test_perf_cache.py",
         "tests/test_perf_parallel.py",
         # Import cleanly but drive numpy-backed campaigns at runtime.
         "tests/test_cli.py",

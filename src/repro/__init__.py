@@ -24,17 +24,8 @@ Quickstart
 1008.0
 """
 
+from repro._lazy import lazy_exports
 from repro.version import __version__
-
-# Top-level convenience API: the objects a session almost always starts
-# with.  Subsystem internals stay behind their subpackages.
-from repro.core.evaluator import Evaluator
-from repro.core.software import POST_UPDATE, PRE_UPDATE, SoftwareStack
-from repro.execmodel.kernel import KernelSpec
-from repro.machine.node import Device
-from repro.machine.presets import maia_node, maia_system
-from repro.mpi.fabrics import host_fabric, phi_fabric
-from repro.mpi.runtime import mpiexec
 
 __all__ = [
     "Device",
@@ -50,3 +41,18 @@ __all__ = [
     "mpiexec",
     "phi_fabric",
 ]
+
+# Top-level convenience API: the objects a session almost always starts
+# with.  Subsystem internals stay behind their subpackages.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.evaluator": ["Evaluator"],
+        "repro.core.software": ["POST_UPDATE", "PRE_UPDATE", "SoftwareStack"],
+        "repro.execmodel.kernel": ["KernelSpec"],
+        "repro.machine.node": ["Device"],
+        "repro.machine.presets": ["maia_node", "maia_system"],
+        "repro.mpi.fabrics": ["host_fabric", "phi_fabric"],
+        "repro.mpi.runtime": ["mpiexec"],
+    },
+)

@@ -34,23 +34,7 @@ Command line: ``python -m repro check <file|dir>`` (static),
 ``python -m repro check <dir> --units``.
 """
 
-from repro.analyze.staticcheck import (
-    CODES,
-    Diagnostic,
-    RankProgramProfile,
-    check_file,
-    check_paths,
-    check_source,
-    rank_program_profile,
-    render_diagnostics,
-)
-from repro.analyze.unitscheck import check_units_paths, check_units_source
-from repro.analyze.verifier import (
-    Issue,
-    Verifier,
-    VerifyReport,
-    verify_mpiexec,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CODES",
@@ -68,3 +52,26 @@ __all__ = [
     "render_diagnostics",
     "verify_mpiexec",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analyze.staticcheck": [
+            "CODES",
+            "Diagnostic",
+            "RankProgramProfile",
+            "check_file",
+            "check_paths",
+            "check_source",
+            "rank_program_profile",
+            "render_diagnostics",
+        ],
+        "repro.analyze.unitscheck": ["check_units_paths", "check_units_source"],
+        "repro.analyze.verifier": [
+            "Issue",
+            "Verifier",
+            "VerifyReport",
+            "verify_mpiexec",
+        ],
+    },
+)

@@ -11,9 +11,7 @@ Each application has two faces, mirroring the NPB package:
   symmetric-mode runs under both software stacks.
 """
 
-from repro.apps.datasets import DATASET_SPECS, GridSystem, dataset
-from repro.apps.overflow import OverflowModel, OverflowSolver
-from repro.apps.cart3d import Cart3dModel, Cart3dSolver
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Cart3dModel",
@@ -24,3 +22,12 @@ __all__ = [
     "OverflowSolver",
     "dataset",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.apps.datasets": ["DATASET_SPECS", "GridSystem", "dataset"],
+        "repro.apps.overflow": ["OverflowModel", "OverflowSolver"],
+        "repro.apps.cart3d": ["Cart3dModel", "Cart3dSolver"],
+    },
+)

@@ -25,25 +25,7 @@ See ``docs/CAMPAIGNS.md`` for the journal format, resume semantics and
 CLI examples (``repro campaign run/resume/status``).
 """
 
-from repro.campaign.checkpoint import SweepCheckpoint
-from repro.campaign.journal import (
-    Journal,
-    JournalEntry,
-    JournalReadResult,
-    decode_result,
-    encode_result,
-)
-from repro.campaign.net import SocketShardExecutor, run_worker
-from repro.campaign.queue import (
-    PointRecord,
-    ShardExecutor,
-    ShardResult,
-    make_executor,
-    register_executor,
-)
-from repro.campaign.retry import RetryPolicy
-from repro.campaign.runner import CampaignRun, RunStats, run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CampaignRun",
@@ -65,3 +47,28 @@ __all__ = [
     "run_campaign",
     "run_worker",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.checkpoint": ["SweepCheckpoint"],
+        "repro.campaign.journal": [
+            "Journal",
+            "JournalEntry",
+            "JournalReadResult",
+            "decode_result",
+            "encode_result",
+        ],
+        "repro.campaign.net": ["SocketShardExecutor", "run_worker"],
+        "repro.campaign.queue": [
+            "PointRecord",
+            "ShardExecutor",
+            "ShardResult",
+            "make_executor",
+            "register_executor",
+        ],
+        "repro.campaign.retry": ["RetryPolicy"],
+        "repro.campaign.runner": ["CampaignRun", "RunStats", "run_campaign"],
+        "repro.campaign.spec": ["CampaignSpec"],
+    },
+)

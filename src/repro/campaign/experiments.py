@@ -29,6 +29,7 @@ from repro.campaign.retry import RetryPolicy
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, MemoryPressure, RankCrash
+from repro.mpi import compile as mpi_compile
 from repro.units import GiB, KiB
 
 __all__ = ["EXPERIMENTS", "JOB_STATS", "build_spec", "demo_plan",
@@ -103,14 +104,13 @@ def _exchange_probe(device_str: str, i: int, j: int,
     ranks = i * j
     if ranks < 2:
         return None
-    from repro.mpi.compile import CompileStats, compiled_mpiexec
     from repro.mpi.fabrics import host_fabric, phi_fabric
 
     fabric = host_fabric() if device_str == "host" else phi_fabric()
     # Halo plane bytes per rank: the footprint sliced across the lattice.
     nbytes = max(64, int(footprint) // (ranks * 64))
-    st = CompileStats()
-    res = compiled_mpiexec(
+    st = mpi_compile.CompileStats()
+    res = mpi_compile.compiled_mpiexec(
         ranks, fabric, partial(_decomp_halo_main, nbytes),
         cache=_job_cache(), stats=st,
     )

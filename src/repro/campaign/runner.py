@@ -170,7 +170,7 @@ def run_campaign(
     if shard_size < 1:
         raise ConfigError("shard_size must be >= 1")
     spec_fp = spec.fingerprint()
-    keys = spec.keys()
+    keys = spec.keys(spec_fp)
     stats = RunStats(total=len(spec.points), unique=len(set(keys)))
 
     # ---------------------------------------------------- journal replay

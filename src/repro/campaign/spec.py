@@ -79,7 +79,11 @@ class CampaignSpec:
         """EvalCache key for one grid point under this campaign."""
         return fingerprint("campaign-point", spec_fp, point)
 
-    def keys(self) -> Tuple[str, ...]:
-        """Per-point cache keys, in grid order."""
-        fp = self.fingerprint()
+    def keys(self, spec_fp: Optional[str] = None) -> Tuple[str, ...]:
+        """Per-point cache keys, in grid order.
+
+        ``spec_fp`` is :meth:`fingerprint`'s value when the caller already
+        holds it; fingerprinting the spec hashes the whole grid.
+        """
+        fp = self.fingerprint() if spec_fp is None else spec_fp
         return tuple(self.point_key(fp, p) for p in self.points)

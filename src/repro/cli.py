@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import sys
 from functools import partial
 from typing import List, Optional
@@ -868,9 +867,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.campaign import Journal, RetryPolicy, run_campaign
-    from repro.campaign.experiments import EXPERIMENTS, build_spec, demo_plan
-    from repro.faults import FaultPlan
+    from repro.campaign.journal import Journal
 
     if args.action == "status":
         read = Journal.read(args.journal)
@@ -910,6 +907,8 @@ def _cmd_campaign(args) -> int:
         return 0
 
     if args.action == "worker":
+        import socket
+
         from repro.campaign.net import parse_address, run_worker
 
         host, port = parse_address(args.connect)
@@ -937,6 +936,10 @@ def _cmd_campaign(args) -> int:
         if args.journal:
             _print(f"merged journal written to {args.journal}")
         return 0
+
+    from repro.campaign import RetryPolicy, run_campaign
+    from repro.campaign.experiments import EXPERIMENTS, build_spec, demo_plan
+    from repro.faults import FaultPlan
 
     if args.experiment is None:
         _print(f"campaign {args.action} needs an experiment "

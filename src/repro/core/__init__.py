@@ -9,17 +9,7 @@ Section 4 — native host, native Phi, offload and symmetric — and runs
 workloads under them.
 """
 
-from repro.core.evaluator import Evaluator
-from repro.core.modes import ProgrammingMode
-from repro.core.offload import OffloadCostModel, OffloadRegion, OffloadReport
-from repro.core.results import Measurement, ResultSet
-from repro.core.software import PRE_UPDATE, POST_UPDATE, SoftwareStack
-from repro.core.symmetric import (
-    SymmetricRun,
-    SymmetricStep,
-    WorkPartition,
-    partition_zones,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Evaluator",
@@ -37,3 +27,20 @@ __all__ = [
     "WorkPartition",
     "partition_zones",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.evaluator": ["Evaluator"],
+        "repro.core.modes": ["ProgrammingMode"],
+        "repro.core.offload": ["OffloadCostModel", "OffloadRegion", "OffloadReport"],
+        "repro.core.results": ["Measurement", "ResultSet"],
+        "repro.core.software": ["PRE_UPDATE", "POST_UPDATE", "SoftwareStack"],
+        "repro.core.symmetric": [
+            "SymmetricRun",
+            "SymmetricStep",
+            "WorkPartition",
+            "partition_zones",
+        ],
+    },
+)

@@ -8,10 +8,7 @@ The NPB and application characterizations (Figs 19–25) are built from these
 pieces.
 """
 
-from repro.execmodel.batch import BatchBreakdown, kernel_time_batch
-from repro.execmodel.kernel import KernelSpec
-from repro.execmodel.roofline import TimeBreakdown, kernel_gflops, kernel_time
-from repro.execmodel.vectorize import vector_efficiency
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchBreakdown",
@@ -22,3 +19,13 @@ __all__ = [
     "kernel_time_batch",
     "vector_efficiency",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.execmodel.batch": ["BatchBreakdown", "kernel_time_batch"],
+        "repro.execmodel.kernel": ["KernelSpec"],
+        "repro.execmodel.roofline": ["TimeBreakdown", "kernel_gflops", "kernel_time"],
+        "repro.execmodel.vectorize": ["vector_efficiency"],
+    },
+)

@@ -220,12 +220,12 @@ def kernel_time_batch(
         raise ConfigError("sync_costs must align with thread_counts")
     if check_memory and kernel.footprint > proc.memory_capacity:
         raise OutOfMemoryError(kernel.footprint, proc.memory_capacity, kernel.name)
-    if not HAVE_NUMPY:
+    np = get_numpy() if HAVE_NUMPY else None
+    if np is None:
         warn_scalar_fallback("batch kernel pricing")
         return _kernel_time_scalar_loop(
             kernel, proc, thread_counts, sync_costs, check_memory
         )
-    np = get_numpy()
 
     n_raw = np.asarray(thread_counts, dtype=np.int64)
     feasible = (n_raw >= 1) & (n_raw <= proc.max_threads)

@@ -9,20 +9,7 @@ post-update baseline (gated by ``benchmarks/bench_fault_equivalence.py``
 against Figs 7–9).  See ``docs/ROBUSTNESS.md``.
 """
 
-from repro.faults.plan import (
-    FaultPlan,
-    LinkDegradation,
-    MemoryPressure,
-    RankCrash,
-    Straggler,
-    pre_update_plan,
-)
-from repro.faults.inject import (
-    DegradedFabric,
-    DegradedPciePathFabric,
-    arm,
-    degrade,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultPlan",
@@ -36,3 +23,23 @@ __all__ = [
     "arm",
     "degrade",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.plan": [
+            "FaultPlan",
+            "LinkDegradation",
+            "MemoryPressure",
+            "RankCrash",
+            "Straggler",
+            "pre_update_plan",
+        ],
+        "repro.faults.inject": [
+            "DegradedFabric",
+            "DegradedPciePathFabric",
+            "arm",
+            "degrade",
+        ],
+    },
+)

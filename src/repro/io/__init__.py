@@ -8,8 +8,7 @@ ship data to the host over MPI/SCIF and write from there — is also
 modeled.
 """
 
-from repro.io.filesystem import FilesystemView, NfsModel, maia_nfs
-from repro.io.seqrw import SeqRWBenchmark, workaround_bandwidth
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FilesystemView",
@@ -18,3 +17,11 @@ __all__ = [
     "maia_nfs",
     "workaround_bandwidth",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.io.filesystem": ["FilesystemView", "NfsModel", "maia_nfs"],
+        "repro.io.seqrw": ["SeqRWBenchmark", "workaround_bandwidth"],
+    },
+)

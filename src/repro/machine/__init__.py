@@ -15,31 +15,7 @@ values come from the paper's Table 1 and Section 2:
 * :mod:`repro.machine.presets` — ready-made Maia factory functions.
 """
 
-from repro.machine.cache import CacheWalkModel
-from repro.machine.core import ThreadScaling
-from repro.machine.interconnect import InfiniBandSpec, QpiSpec, RingSpec
-from repro.machine.memory import DramModel, Gddr5Model
-from repro.machine.node import Device, MaiaNode
-from repro.machine.pcie import PcieLink
-from repro.machine.presets import (
-    maia_host_processor,
-    maia_node,
-    maia_system,
-    sandy_bridge_host,
-    sandy_bridge_processor,
-    xeon_phi_5110p,
-)
-from repro.machine.processor import Processor
-from repro.machine.spec import (
-    CacheLevel,
-    CoreSpec,
-    MemorySpec,
-    NodeSpec,
-    PcieSpec,
-    ProcessorSpec,
-    SystemSpec,
-)
-from repro.machine.system import MaiaSystem
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheLevel",
@@ -68,3 +44,34 @@ __all__ = [
     "sandy_bridge_processor",
     "xeon_phi_5110p",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.machine.cache": ["CacheWalkModel"],
+        "repro.machine.core": ["ThreadScaling"],
+        "repro.machine.interconnect": ["InfiniBandSpec", "QpiSpec", "RingSpec"],
+        "repro.machine.memory": ["DramModel", "Gddr5Model"],
+        "repro.machine.node": ["Device", "MaiaNode"],
+        "repro.machine.pcie": ["PcieLink"],
+        "repro.machine.presets": [
+            "maia_host_processor",
+            "maia_node",
+            "maia_system",
+            "sandy_bridge_host",
+            "sandy_bridge_processor",
+            "xeon_phi_5110p",
+        ],
+        "repro.machine.processor": ["Processor"],
+        "repro.machine.spec": [
+            "CacheLevel",
+            "CoreSpec",
+            "MemorySpec",
+            "NodeSpec",
+            "PcieSpec",
+            "ProcessorSpec",
+            "SystemSpec",
+        ],
+        "repro.machine.system": ["MaiaSystem"],
+    },
+)

@@ -15,18 +15,7 @@ Each module produces the data series behind one or more figures:
 * :mod:`repro.microbench.offloadbw` — offload-mode PCIe bandwidth (Fig 18).
 """
 
-from repro.microbench.stream import fig4_data, numpy_stream_triad, stream_sweep
-from repro.microbench.memlatency import fig5_data, latency_sweep
-from repro.microbench.membandwidth import bandwidth_sweep, fig6_data
-from repro.microbench.pingpong import fig7_data, fig8_data, fig9_data
-from repro.microbench.mpifuncs import (
-    MPI_BENCHMARKS,
-    host_over_phi_factors,
-    mpi_function_sweep,
-)
-from repro.microbench.ompbench import fig15_data, fig16_data
-from repro.microbench.iobench import fig17_data
-from repro.microbench.offloadbw import fig18_data
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MPI_BENCHMARKS",
@@ -47,3 +36,21 @@ __all__ = [
     "numpy_stream_triad",
     "stream_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.microbench.stream": ["fig4_data", "numpy_stream_triad", "stream_sweep"],
+        "repro.microbench.memlatency": ["fig5_data", "latency_sweep"],
+        "repro.microbench.membandwidth": ["bandwidth_sweep", "fig6_data"],
+        "repro.microbench.pingpong": ["fig7_data", "fig8_data", "fig9_data"],
+        "repro.microbench.mpifuncs": [
+            "MPI_BENCHMARKS",
+            "host_over_phi_factors",
+            "mpi_function_sweep",
+        ],
+        "repro.microbench.ompbench": ["fig15_data", "fig16_data"],
+        "repro.microbench.iobench": ["fig17_data"],
+        "repro.microbench.offloadbw": ["fig18_data"],
+    },
+)

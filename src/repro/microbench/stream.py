@@ -13,9 +13,7 @@ Two instruments:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.machine.presets import sandy_bridge_processor, xeon_phi_5110p
@@ -45,7 +43,7 @@ def fig4_data(
 
 
 def numpy_stream_triad(
-    n: int = 4_000_000, repeats: int = 5, dtype=np.float64
+    n: int = 4_000_000, repeats: int = 5, dtype: Any = "float64"
 ) -> float:
     """Measure this machine's STREAM triad bandwidth (bytes/s) with NumPy.
 
@@ -53,6 +51,8 @@ def numpy_stream_triad(
     elements per iteration; the best of ``repeats`` is returned, per
     STREAM convention.
     """
+    import numpy as np
+
     if n < 1000 or repeats < 1:
         raise ConfigError("need n >= 1000 and repeats >= 1")
     rng = np.random.default_rng(42)

@@ -16,24 +16,7 @@ Layers, bottom up:
   N rank processes on a fabric and runs it to completion.
 """
 
-from repro.mpi.api import ANY_SOURCE, ANY_TAG, Communicator, Request
-from repro.mpi.collectives import (
-    allgather_time,
-    allreduce_time,
-    alltoall_memory_required,
-    alltoall_time,
-    bcast_time,
-    sendrecv_ring_time,
-)
-from repro.mpi.fabrics import (
-    Fabric,
-    FabricParams,
-    host_fabric,
-    phi_fabric,
-)
-from repro.mpi.protocols import PciePathFabric, pcie_fabric
-from repro.mpi.runtime import MpiJob, mpiexec
-from repro.mpi.compile import CompileStats, compiled_mpiexec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ANY_SOURCE",
@@ -57,3 +40,22 @@ __all__ = [
     "phi_fabric",
     "sendrecv_ring_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mpi.api": ["ANY_SOURCE", "ANY_TAG", "Communicator", "Request"],
+        "repro.mpi.collectives": [
+            "allgather_time",
+            "allreduce_time",
+            "alltoall_memory_required",
+            "alltoall_time",
+            "bcast_time",
+            "sendrecv_ring_time",
+        ],
+        "repro.mpi.fabrics": ["Fabric", "FabricParams", "host_fabric", "phi_fabric"],
+        "repro.mpi.protocols": ["PciePathFabric", "pcie_fabric"],
+        "repro.mpi.runtime": ["MpiJob", "mpiexec"],
+        "repro.mpi.compile": ["CompileStats", "compiled_mpiexec"],
+    },
+)

@@ -30,6 +30,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.mpi.api import Communicator
+from repro.perf.batch import get_numpy
 from repro.units import GiB, KiB
 
 #: Block size at which allgather switches from recursive doubling to ring.
@@ -468,7 +469,7 @@ def _ring_times(fabric, p: int, nbytes: int, t: List[float]) -> List[float]:
         # per-round cost, so the recurrence collapses to closed form.
         per_round = max(ts, tp) if eager else tp
         return [lo + (p - 1) * per_round] * p
-    np = _numpy()
+    np = get_numpy()
     if np is not None and p >= 128:
         v = np.asarray(t, dtype=float)
         for _ in range(p - 1):
@@ -489,14 +490,6 @@ def _ring_times(fabric, p: int, nbytes: int, t: List[float]) -> List[float]:
                 max(cur[i], cur[i - 1], cur[(i + 1) % p]) + tp for i in range(p)
             ]
     return cur
-
-
-def _numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised in no-numpy CI
-        return None
-    return numpy
 
 
 def bcast_schedule(
@@ -532,7 +525,7 @@ def allreduce_schedule(
     m = int(math.log2(p))
     pow2 = 1 << m
     r = p - pow2
-    np = _numpy()
+    np = get_numpy()
     if np is not None and p >= 128:
         return _allreduce_times_numpy(np, p, t, tp, ts, eager, tred, pow2, r)
 
@@ -852,7 +845,7 @@ def barrier_schedule(
             cur = max(cur + ts, cur + tp)
             k <<= 1
         return [cur] * p
-    np = _numpy()
+    np = get_numpy()
     if np is not None and p >= 128:
         v = np.asarray(t, dtype=float)
         return _barrier_kernel(np, p, v, tp, ts).tolist()
@@ -885,7 +878,7 @@ def array_schedule(kind, fabric, p: int, nbytes: int, t_arr,
     bit-identical to the corresponding ``*_schedule``.
     """
     if np is None:
-        np = _numpy()
+        np = get_numpy()
     if np is None or p == 1:
         return None
     if kind == "barrier":

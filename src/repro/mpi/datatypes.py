@@ -8,9 +8,8 @@ nbytes=nbytes_of(arr))`` — or use :func:`sized` to do both at once.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigError
 
@@ -47,7 +46,9 @@ def nbytes_of(payload: Any) -> int:
         first = type(payload[0])
         if first in _SCALAR_SIZES and all(isinstance(x, first) for x in payload):
             return len(payload) * _SCALAR_SIZES[first]
-        if all(isinstance(x, np.ndarray) for x in payload):
+        # A list of arrays implies NumPy is already loaded; never import it.
+        np = sys.modules.get("numpy")
+        if np is not None and all(isinstance(x, np.ndarray) for x in payload):
             return int(sum(x.nbytes for x in payload))
     raise ConfigError(
         f"cannot infer wire size of {type(payload).__name__}; pass nbytes explicitly"

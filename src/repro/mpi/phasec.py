@@ -364,10 +364,22 @@ def _static_veto(main: Any) -> Optional[str]:
     The scan covers the main's own source; divergence hidden in helper
     calls is still caught whenever a probe rank exercises it, and the
     scalar replay remains the authority for everything refused here.
+    Functions are memoized per code object, so a sweep re-lowering one
+    main reads and parses its source once.
     """
-    fn = _unwrap(main)
+    fn = inspect.unwrap(_unwrap(main))
+    code = getattr(fn, "__code__", None)
+    return _source_veto(fn) if code is None else _code_veto(code)
+
+
+@functools.lru_cache(maxsize=256)
+def _code_veto(code: Any) -> Optional[str]:
+    return _source_veto(code)
+
+
+def _source_veto(obj: Any) -> Optional[str]:
     try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
     except (OSError, TypeError, ValueError, SyntaxError, IndentationError):
         return "source unavailable"
     for node in ast.walk(tree):

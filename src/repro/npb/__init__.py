@@ -17,8 +17,7 @@ Two halves, mirroring the library's overall design:
   the MG mode studies (Figs 24–27).
 """
 
-from repro.npb.common import CLASSES, NpbResult, problem_class
-from repro.npb.randdp import lcg_jump, randlc, ranlc_array
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CLASSES",
@@ -28,3 +27,11 @@ __all__ = [
     "randlc",
     "ranlc_array",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.npb.common": ["CLASSES", "NpbResult", "problem_class"],
+        "repro.npb.randdp": ["lcg_jump", "randlc", "ranlc_array"],
+    },
+)

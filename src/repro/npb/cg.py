@@ -17,13 +17,15 @@ sparse matvec's indirect addressing defeats the 512-bit vector unit —
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.npb.common import CG_SIZES, NpbResult, problem_class, verify_close
 from repro.npb.randdp import MOD, randlc
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Official NPB 3.3 verification ζ per class.
 REFERENCE: Dict[str, float] = {
@@ -80,6 +82,8 @@ def _vecset(values: list, indices: list, i: int, val: float) -> None:
 
 def make_matrix(problem: str = "S") -> sp.csr_matrix:
     """NPB makea for one problem class (1-exact with the Fortran code)."""
+    from scipy.sparse import coo_matrix  # ~85 ms: imported by the real CG only
+
     problem = problem_class(problem)
     n, nonzer, _niter, shift = CG_SIZES[problem]
     rng = _Lcg()
@@ -112,7 +116,7 @@ def make_matrix(problem: str = "S") -> sp.csr_matrix:
                 coo_j.append(jcol - 1)
                 coo_v.append(va)
         size *= ratio
-    a = sp.coo_matrix(
+    a = coo_matrix(
         (np.array(coo_v), (np.array(coo_i), np.array(coo_j))), shape=(n, n)
     )
     return a.tocsr()

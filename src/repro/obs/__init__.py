@@ -23,22 +23,7 @@ Or from the command line: ``python -m repro trace allreduce --out
 trace.json --timeline``.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    trace_digest,
-    trace_json,
-    write_chrome_trace,
-)
-from repro.obs.timeline import render_comm_matrix, render_timeline
-from repro.obs.tracer import (
-    NULL_CONTEXT,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    active,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NULL_CONTEXT",
@@ -55,3 +40,25 @@ __all__ = [
     "trace_json",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": [
+            "chrome_trace",
+            "trace_digest",
+            "trace_json",
+            "write_chrome_trace",
+        ],
+        "repro.obs.timeline": ["render_comm_matrix", "render_timeline"],
+        "repro.obs.tracer": [
+            "NULL_CONTEXT",
+            "NULL_TRACER",
+            "NullTracer",
+            "Span",
+            "TraceEvent",
+            "Tracer",
+            "active",
+        ],
+    },
+)

@@ -17,18 +17,7 @@ Modules:
 * :mod:`repro.openmp.runtime` — a discrete-event thread team.
 """
 
-from repro.openmp.affinity import Placement, thread_map
-from repro.openmp.constructs import (
-    CONSTRUCTS,
-    construct_overhead,
-    sync_hop,
-)
-from repro.openmp.scheduling import (
-    SCHEDULES,
-    iteration_schedule,
-    scheduling_overhead,
-)
-from repro.openmp.runtime import Team
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CONSTRUCTS",
@@ -41,3 +30,17 @@ __all__ = [
     "sync_hop",
     "thread_map",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.openmp.affinity": ["Placement", "thread_map"],
+        "repro.openmp.constructs": ["CONSTRUCTS", "construct_overhead", "sync_hop"],
+        "repro.openmp.scheduling": [
+            "SCHEDULES",
+            "iteration_schedule",
+            "scheduling_overhead",
+        ],
+        "repro.openmp.runtime": ["Team"],
+    },
+)

@@ -16,9 +16,7 @@ across figures.  This package makes the campaign itself fast:
   simulator's own performance trajectory across PRs.
 """
 
-from repro.perf.batch import HAVE_NUMPY, get_numpy
-from repro.perf.cache import CacheStats, EvalCache, fingerprint
-from repro.perf.parallel import default_workers, parallel_map, parallel_tasks
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheStats",
@@ -30,3 +28,12 @@ __all__ = [
     "parallel_map",
     "parallel_tasks",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.batch": ["HAVE_NUMPY", "get_numpy"],
+        "repro.perf.cache": ["CacheStats", "EvalCache", "fingerprint"],
+        "repro.perf.parallel": ["default_workers", "parallel_map", "parallel_tasks"],
+    },
+)

@@ -10,24 +10,24 @@ are explainable without being noisy.
 
 This module is the one place that knows whether NumPy is importable;
 everything else asks :data:`HAVE_NUMPY` / :func:`get_numpy` instead of
-importing ``numpy`` directly.
+importing ``numpy`` directly.  Asking is cheap: :data:`HAVE_NUMPY` only
+looks NumPy up on the import path, and the import itself happens on the
+first :func:`get_numpy` call, so a command that never prices a vector
+never pays for it.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import warnings
 from typing import Any, Optional
 
 __all__ = ["HAVE_NUMPY", "get_numpy", "reset_fallback_warning",
            "warn_scalar_fallback"]
 
-try:  # pragma: no cover - exercised in the no-numpy CI job
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
-    _np = None
-    HAVE_NUMPY = False
+#: NumPy is installed (found on the import path; not yet imported).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 # Contexts that already warned this process.  Per-context (not one
 # global bool) so the first campaign to fall back cannot swallow the
@@ -36,9 +36,21 @@ except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
 _warned: set = set()
 
 
+@functools.lru_cache(maxsize=None)
 def get_numpy() -> Optional[Any]:
-    """The ``numpy`` module, or ``None`` when it is not installed."""
-    return _np
+    """The ``numpy`` module, or ``None`` when it is absent or fails to import.
+
+    Imports on the first call and returns the cached answer after that.
+    A NumPy that is installed but broken counts as absent, so callers
+    take their scalar fallback instead of raising.
+    """
+    if not HAVE_NUMPY:
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def reset_fallback_warning(context: Optional[str] = None) -> None:

@@ -22,19 +22,7 @@ Example
 1.5
 """
 
-from repro.simcore.engine import Engine
-from repro.simcore.process import (
-    Acquire,
-    AllOf,
-    Command,
-    Get,
-    Process,
-    Put,
-    Timeout,
-    WaitEvent,
-)
-from repro.simcore.resources import Event, Resource, Store
-from repro.simcore.trace import Counter, TimeSeries
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Acquire",
@@ -52,3 +40,22 @@ __all__ = [
     "Timeout",
     "WaitEvent",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simcore.engine": ["Engine"],
+        "repro.simcore.process": [
+            "Acquire",
+            "AllOf",
+            "Command",
+            "Get",
+            "Process",
+            "Put",
+            "Timeout",
+            "WaitEvent",
+        ],
+        "repro.simcore.resources": ["Event", "Resource", "Store"],
+        "repro.simcore.trace": ["Counter", "TimeSeries"],
+    },
+)

@@ -234,6 +234,19 @@ class TestDedupe:
         third = run_campaign(spec, str(tmp_path / "b.jsonl"))
         assert third.stats.replayed == 3
 
+    def test_run_fingerprints_the_spec_once(self, tmp_path, monkeypatch):
+        spec = _spec()
+        keys = spec.keys()
+        assert spec.keys(spec.fingerprint()) == keys
+        calls = []
+        real = CampaignSpec.fingerprint
+        monkeypatch.setattr(
+            CampaignSpec, "fingerprint", lambda self: calls.append(1) or real(self)
+        )
+        run = run_campaign(spec, str(tmp_path / "j.jsonl"))
+        assert len(calls) == 1
+        assert [r.key for r in run.records] == list(keys)
+
 
 # --------------------------------------------------------------------------
 # retry policy

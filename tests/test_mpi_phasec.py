@@ -218,6 +218,25 @@ def test_lower_refuses_sourceless_mains():
         lower(ns["_stdin_main"], 8, fabric=host_fabric())
 
 
+def test_static_veto_reads_source_once_per_main(monkeypatch):
+    import inspect
+
+    def ring_main(nbytes, comm):
+        right = (comm.rank + 1) % comm.size
+        left = (comm.rank - 1) % comm.size
+        yield from comm.sendrecv(right, left, nbytes=nbytes)
+
+    real = inspect.getsource
+    reads = []
+    monkeypatch.setattr(
+        inspect, "getsource", lambda obj: reads.append(obj) or real(obj)
+    )
+    lower(partial(ring_main, 64), 8, fabric=host_fabric())
+    assert len(reads) == 1
+    lower(partial(ring_main, 4096), 16, fabric=host_fabric())
+    assert len(reads) == 1  # the veto is memoized per code object
+
+
 def test_selection_vetoes_route_to_stepped():
     from repro.analyze.verifier import Verifier
     from repro.faults import FaultPlan, Straggler
