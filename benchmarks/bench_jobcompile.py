@@ -24,7 +24,12 @@ Campaigns:
   scalar replay at P=65536, and a < 10 s wall at P=100,000 — the
   "price a 100k-rank decomposition in seconds" claim (needs numpy);
 * the NPB EP and CG solvers at P ∈ {4, 8} with official verification,
-  gating bit-identical returns and warm memo hits.
+  gating bit-identical returns and warm memo hits;
+* a one-phase large-message bcast (256 KiB, host fabric, scatter + ring
+  allgather) at P=32768 (quick: 4096) through the vector path, gating
+  clocks bit-identical to the NumPy-free schedule (the pure-Python
+  loops, whose wall is recorded too) — the point that keeps the former
+  O(P²) ring cliff under ``benchdiff``'s wall budget (needs numpy).
 
 Writes ``BENCH_jobcompile.json`` so CI can gate regressions::
 
@@ -53,6 +58,10 @@ VECTOR_SPEEDUP_RANKS = 65536
 VECTOR_SPEEDUP_MIN = 100.0
 #: The absolute wall ceiling for the largest vector point (seconds).
 VECTOR_WALL_CEILING_S = 10.0
+#: Rank count and message size of the large-message bcast point.
+BCAST_RANKS = 32768
+BCAST_RANKS_QUICK = 4096
+BCAST_NBYTES = 256 * 1024
 HALO_NBYTES = 4096
 HALO_ITERS = 2
 NPB_RANKS = (4, 8)
@@ -72,6 +81,11 @@ def _halo_main(nbytes, iters, comm):
         acc = yield from comm.allreduce(acc + comm.rank, nbytes=8)
     yield from comm.barrier()
     return acc
+
+
+def _bcast_main(nbytes, comm):
+    """One large-message bcast from rank 0, every rank ready at t=0."""
+    return (yield from comm.bcast(0.0, root=0, nbytes=nbytes))
 
 
 def _same(a: Any, b: Any) -> bool:
@@ -189,6 +203,42 @@ def _vector_point(p: int, with_stepped: bool) -> Dict[str, Any]:
     return point
 
 
+def _bcast_point(p: int) -> Dict[str, Any]:
+    from repro.mpi import collectives
+    from repro.mpi.compile import CompileStats, compiled_mpiexec
+    from repro.mpi.fabrics import host_fabric
+    from repro.mpi.phasec import clocks, lower
+
+    fabric = host_fabric()
+    main = partial(_bcast_main, BCAST_NBYTES)
+    st = CompileStats()
+    t0 = time.perf_counter()
+    res = compiled_mpiexec(p, fabric, main, stats=st, vector=True)
+    wall = time.perf_counter() - t0
+    vec = clocks(lower(main, p, fabric=fabric), fabric)
+
+    numpy = collectives.get_numpy
+    collectives.get_numpy = lambda: None  # the pure-Python loops
+    try:
+        t0 = time.perf_counter()
+        ref = collectives.bcast_schedule(fabric, p, BCAST_NBYTES)
+        ref_wall = time.perf_counter() - t0
+    finally:
+        collectives.get_numpy = numpy
+    return {
+        "ranks": p,
+        "nbytes": BCAST_NBYTES,
+        "vector": {
+            "wall": wall,
+            "elapsed": res.elapsed,
+            "engine_steps": st.engine_steps,
+            "path": st.path,
+            "identical": vec == ref and res.elapsed == max(ref),
+        },
+        "numpy_free": {"wall": ref_wall, "elapsed": max(ref)},
+    }
+
+
 def _npb_point(bench: str, p: int) -> Dict[str, Any]:
     from repro.mpi.compile import CompileStats
     from repro.mpi.fabrics import host_fabric
@@ -225,7 +275,16 @@ def _npb_point(bench: str, p: int) -> Dict[str, Any]:
 def run_jobcompile(
     quick: bool = False, output: Optional[str] = "BENCH_jobcompile.json"
 ) -> Dict[str, Any]:
-    """Run both campaigns and (optionally) write the JSON report."""
+    """Run the campaigns and (optionally) write the JSON report."""
+    # Import NumPy before any timed call: the schedules import it lazily
+    # on first use, a once-per-process cost that would otherwise land in
+    # the first timed replay (halo P=64) and not in its stepped reference.
+    try:
+        import numpy  # noqa: F401
+
+        have_numpy = True
+    except ImportError:  # pragma: no cover - the no-numpy CI leg
+        have_numpy = False
     report: Dict[str, Any] = {
         "name": "jobcompile",
         "quick": quick,
@@ -236,12 +295,6 @@ def run_jobcompile(
             ]
         },
     }
-    try:
-        import numpy  # noqa: F401
-
-        have_numpy = True
-    except ImportError:  # pragma: no cover - the no-numpy CI leg
-        have_numpy = False
     if have_numpy:
         report["vector"] = {
             "points": [
@@ -257,6 +310,9 @@ def run_jobcompile(
                 for bench in ("ep", "cg")
                 for p in NPB_RANKS
             ]
+        }
+        report["bcast"] = {
+            "points": [_bcast_point(BCAST_RANKS_QUICK if quick else BCAST_RANKS)]
         }
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -331,6 +387,15 @@ def check_report(report: Dict[str, Any]) -> List[str]:
                 bad.append(f"{tag}: {label} returns differ")
             if r["engine_steps"] != 0:
                 bad.append(f"{tag}: {label} stepped {r['engine_steps']} events")
+    for pt in report.get("bcast", {}).get("points", ()):
+        tag = f"bcast P={pt['ranks']}"
+        v = pt["vector"]
+        if v["path"] != "vector":
+            bad.append(f"{tag}: priced via {v['path']!r}, not the vector path")
+        if v["engine_steps"] != 0:
+            bad.append(f"{tag}: stepped {v['engine_steps']} events")
+        if not v["identical"]:
+            bad.append(f"{tag}: clocks differ from the NumPy-free schedule")
     return bad
 
 
@@ -382,6 +447,17 @@ def render_report(report: Dict[str, Any]) -> str:
                 f"{r['elapsed']:>12.4e} {r['engine_steps']:>7} "
                 f"{r['rel_err']:>8.1e}"
             )
+    for pt in report.get("bcast", {}).get("points", ()):
+        tag = f"bcast P={pt['ranks']}"
+        for label in ("vector", "numpy_free"):
+            r = pt[label]
+            lines.append(
+                f"{tag:>16} {label[:7]:>7} {r['wall']:>9.3f} "
+                f"{r['elapsed']:>12.4e} {'0':>7} {'-':>8}"
+            )
+            tag = ""
+        lines.append(f"{'':>16} bit-identical to the NumPy-free "
+                     f"schedule: {pt['vector']['identical']}")
     return "\n".join(lines)
 
 

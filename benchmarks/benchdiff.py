@@ -12,7 +12,8 @@ What is compared per report family:
   blowups are not), plus exact equality of the deterministic outputs
   (engine steps, point counts, ``identical``/``correct`` booleans).
 * **jobcompile** — every gate of ``bench_jobcompile.check_report`` on
-  the fresh report, plus per-point replay/memo wall budgets.
+  the fresh report, plus per-point replay/memo wall budgets and the
+  vector wall budgets of the vector and large-bcast points.
 * **campaign** — every kill-and-resume and worker-kill gate boolean,
   plus reference and resume wall budgets (the killed legs retry with
   doubled throttles, so their walls are not budgeted).
@@ -103,7 +104,7 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
 
     for violation in check_report(fresh):
         d.gate("jobcompile", violation)
-    for family in ("halo", "vector", "npb"):
+    for family in ("halo", "vector", "npb", "bcast"):
         b_points = base.get(family, {}).get("points", [])
         f_points = fresh.get(family, {}).get("points", [])
         if len(b_points) != len(f_points):
@@ -122,7 +123,10 @@ def diff_jobcompile(base: Dict[str, Any], fresh: Dict[str, Any], d: Diff) -> Non
                     bp["stepped"].get("engine_steps"),
                     fp["stepped"].get("engine_steps"),
                 )
-            labels = ("vector",) if family == "vector" else ("replay", "memo")
+            labels = (
+                ("vector",) if family in ("vector", "bcast")
+                else ("replay", "memo")
+            )
             for label in labels:
                 d.wall(f"{tag}.{label}.wall", bp[label]["wall"], fp[label]["wall"])
 

@@ -39,6 +39,7 @@ if not _HAVE_NUMPY:
         # Direct or transitive `import numpy` at module scope.
         "tests/test_apps.py",
         "tests/test_batch_eval.py",
+        "tests/test_collective_kernels.py",
         "tests/test_cross_checks.py",
         "tests/test_extensions.py",
         "tests/test_microbench.py",

@@ -368,10 +368,21 @@ def scatter(
 #
 # Because they mirror the executable algorithms above *hop for hop*
 # (same tree shapes, same per-round message sizes, same algorithm
-# switches), the schedules agree with full DES runs to float precision —
-# a property the test suite gates at 1e-9 relative error.  ``arrivals``
-# lets callers model ranks entering the collective at different times;
-# all-zero arrivals give the canonical "everyone ready" time.
+# switches), the schedules agree with full DES runs to float precision
+# when every rank enters the collective at the same instant — a property
+# the test suite gates at 1e-9 relative error.  ``arrivals`` lets callers
+# model ranks entering at different times; all-zero arrivals give the
+# canonical "everyone ready" time.  Under skewed arrivals, jobs priced
+# through the schedules (fast collectives, replay, vector path) can
+# finish a few percent away from the stepped engine, because a priced
+# collective resolves only once its last rank arrives (the caveat in
+# :mod:`repro.mpi.fastpath`): at P=9, three bcasts rooted at 5, 4 and 4
+# finish 1.5% apart (``perfbench/README.md``, findings).
+#
+# The NumPy kernels below (``_*_kernel``) evaluate the same recurrences
+# as the pure-Python loops, with the same float operations in the same
+# order per rank, so they are bit-identical to them; the loops remain
+# the NumPy-free path and the oracle the test suite compares against.
 
 
 def _wire(fabric, nbytes: int):
@@ -395,6 +406,10 @@ def _binomial_bcast_times(
     fabric, p: int, nbytes: int, root: int, t: List[float]
 ) -> List[float]:
     """Small-message binomial broadcast: per-rank completion times."""
+    np = get_numpy()
+    if np is not None and p >= 128:
+        v = np.asarray(t, dtype=float)
+        return _tree_kernel(np, fabric, p, nbytes, root, v, False).tolist()
     tp, ts, eager = _wire(fabric, nbytes)
     finish = [0.0] * p
     mask0 = 1
@@ -429,6 +444,10 @@ def _scatter_times(
     fabric, p: int, nbytes: int, root: int, t: List[float]
 ) -> List[float]:
     """Binomial scatter with per-hop sizes ``nbytes × |subtree blocks|``."""
+    np = get_numpy()
+    if np is not None and p >= 128:
+        v = np.asarray(t, dtype=float)
+        return _tree_kernel(np, fabric, p, nbytes, root, v, True).tolist()
     finish = [0.0] * p
     mask0 = 1
     while mask0 < p:
@@ -458,38 +477,230 @@ def _scatter_times(
     return finish
 
 
+def _tree_kernel(np, fabric, p: int, nbytes: int, root: int, t_arr,
+                 scatter: bool):
+    """Array form of the binomial-tree walks above, level by level.
+
+    Serves :func:`_binomial_bcast_times` (``scatter=False``: every hop
+    carries ``nbytes``) and :func:`_scatter_times` (``scatter=True``).
+    At tree level ``mm`` the senders are the vranks that are multiples of
+    ``2·mm``, each handing vrank ``v + mm`` its message; a scatter hop
+    carries ``nbytes·min(mm, p − v − mm)`` bytes, so only the last sender
+    of a level can differ in size.  Every rank's clock sees the same
+    operations in the same order as in the depth-first walk — a rank
+    receives at the level of its lowest set bit and sends at every level
+    below — so the result is bit-identical to it.  Array in, array out.
+    """
+    s = np.roll(t_arr, -root)  # by vrank: arrival, then the local clock
+    mm = 1
+    while mm < p:
+        mm <<= 1
+    mm >>= 1
+    while mm > 0:
+        step = 2 * mm
+        kids = s[mm::step]
+        n = kids.size
+        senders = s[:n * step:step]
+        size = nbytes * mm if scatter else nbytes
+        last = nbytes * min(mm, p - (n - 1) * step - mm) if scatter else size
+        if last == size:
+            _tree_hops(np, senders, kids, *_wire(fabric, size))
+        else:
+            _tree_hops(np, senders[:-1], kids[:-1], *_wire(fabric, size))
+            _tree_hops(np, senders[-1:], kids[-1:], *_wire(fabric, last))
+        mm >>= 1
+    return np.roll(s, root)
+
+
+def _tree_hops(np, senders, kids, tp: float, ts: float, eager: bool) -> None:
+    """One tree level's hops, in place on views of the clock vector."""
+    if eager:
+        np.maximum(kids, senders + tp, out=kids)
+        senders += ts
+    else:
+        np.maximum(kids, senders, out=kids)
+        kids += tp
+        senders[...] = kids
+
+
 def _ring_times(fabric, p: int, nbytes: int, t: List[float]) -> List[float]:
     """Ring allgather: p−1 rounds of send-right/recv-left at block size."""
     tp, ts, eager = _wire(fabric, nbytes)
     if p == 1:
         return list(t)
+    np = get_numpy()
+    if np is not None and p >= 128:
+        v = np.asarray(t, dtype=float)
+        return _ring_kernel(np, p, v, tp, ts, eager).tolist()
     lo, hi = min(t), max(t)
     if lo == hi:
         # Uniform arrivals: every round advances all ranks by the same
         # per-round cost, so the recurrence collapses to closed form.
         per_round = max(ts, tp) if eager else tp
         return [lo + (p - 1) * per_round] * p
-    np = get_numpy()
-    if np is not None and p >= 128:
-        v = np.asarray(t, dtype=float)
-        for _ in range(p - 1):
-            left = np.roll(v, 1)
-            if eager:
-                v = np.maximum(v + ts, left + tp)
-            else:
-                v = np.maximum(np.maximum(v, left), np.roll(v, -1)) + tp
-        return v.tolist()
     cur = list(t)
     for _ in range(p - 1):
         if eager:
-            cur = [
-                max(cur[i] + ts, cur[i - 1] + tp) for i in range(p)
-            ]
+            # max(cur[i] + ts, cur[i - 1] + tp), the left term carried over
+            nxt = []
+            left = cur[-1] + tp
+            for x in cur:
+                own = x + ts
+                nxt.append(own if own >= left else left)
+                left = x + tp
+            cur = nxt
         else:
             cur = [
                 max(cur[i], cur[i - 1], cur[(i + 1) % p]) + tp for i in range(p)
             ]
     return cur
+
+
+#: The eager ring fast-forwards only while its distinct clock values, and
+#: the distinct rising neighbour pairs among them, each number at most
+#: P / this.
+_FF_FEW = 4
+#: A fast-forward that gains fewer rounds than this doubles the back-off.
+_FF_MIN_GAIN = 32
+#: Elements in one fast-forward batch: the value table plus both sides of
+#: the pair test (bounds its memory).
+_FF_BATCH = 1 << 16
+
+
+def _ring_kernel(np, p: int, v, tp: float, ts: float, eager: bool):
+    """Array form of :func:`_ring_times` (array in/out, ``p >= 2``)."""
+    lo, hi = float(v.min()), float(v.max())
+    if lo == hi:
+        per_round = max(ts, tp) if eager else tp
+        return np.full(p, lo + (p - 1) * per_round)
+    if not eager:
+        cur, nxt = v.copy(), np.empty(p)
+        for _ in range(p - 1):
+            # max(max(v[i], v[i-1]), v[i+1]) + tp, into the spare buffer
+            np.maximum(cur[1:], cur[:-1], out=nxt[1:])
+            np.maximum(cur[:1], cur[-1:], out=nxt[:1])
+            np.maximum(nxt[:-1], cur[1:], out=nxt[:-1])
+            np.maximum(nxt[-1:], cur[:1], out=nxt[-1:])
+            nxt += tp
+            cur, nxt = nxt, cur
+        return cur
+    return _ring_eager(np, p, v, tp, ts)
+
+
+def _ring_eager(np, p: int, v, tp: float, ts: float):
+    """Eager ring rounds ``v'[i] = max(v[i] + ts, v[i-1] + tp)``, exactly.
+
+    **Rotating frame.**  With ``w_k[i] = v_k[(i + k) mod p]`` a round is
+    ``w'[i] = max(w[i] + tp, w[i+1] + ts)`` — the same two sums and max
+    per rank — computed in place; after the p−1 rounds ``v[j] =
+    w[(j + 1) mod p]``.
+
+    **Fast-forward.**  Rounding is monotone, so a round in which no
+    ``w[i+1] + ts`` beats its ``w[i] + tp`` is exactly ``w' = w + tp``
+    elementwise, and equal elements stay equal: a run of such rounds can
+    be applied to the distinct values alone (:func:`_ring_fast_forward`).
+    The round that ends a run is computed densely, then the next attempt
+    waits for a dense round in which nothing won.  Checks and attempts
+    that find nothing to skip double a back-off, so arrivals that never
+    settle (random ones, say) cost about the dense loop alone.
+    """
+    buf = np.empty(p + 1)  # buf[p] mirrors buf[0], so buf[1:] is w[i+1]
+    w = buf[:p]
+    w[:] = v
+    buf[p] = buf[0]
+    right = np.empty(p)
+    rounds = p - 1
+    k = next_try = 0
+    backoff = 1
+    while k < rounds:
+        np.add(buf[1:], ts, out=right)
+        w += tp
+        check = ts <= tp and k >= next_try
+        calm = check and not (right > w).any()
+        np.maximum(w, right, out=w)
+        buf[p] = buf[0]
+        k += 1
+        if calm and k < rounds:
+            gained = _ring_fast_forward(np, p, buf, tp, ts, rounds - k)
+            k += gained
+            calm = gained >= _FF_MIN_GAIN
+        if check:
+            backoff = 1 if calm else min(2 * backoff, rounds)
+            next_try = k + backoff - 1
+    return buf[1:].copy()
+
+
+def _ring_fast_forward(np, p: int, buf, tp: float, ts: float, limit: int) -> int:
+    """Apply the leading rounds (at most ``limit``) in which no rank's
+    right-hand term wins, on the distinct values of ``w = buf[:p]``;
+    returns how many were applied.
+
+    With ``ts <= tp`` a pair ``w[i] >= w[i+1]`` can never win (monotone
+    rounding: ``w[i+1] + ts <= w[i] + ts <= w[i] + tp``), and ``+ tp``
+    keeps every pair's order, so only the distinct rising pairs present
+    now need the per-round test.  The rounds are tabulated in batches:
+    ``np.add.accumulate`` down a table whose first row is the distinct
+    values and whose other rows are ``tp`` repeats the same sequential
+    float additions the dense loop makes, so row ``j + 1`` is also each
+    value's ``+ tp`` term in round ``j``.
+    """
+    w = buf[:p]
+    vals, inv = _distinct(np, w, p // _FF_FEW)
+    if inv is None:
+        return 0
+    nv = vals.size
+    rising = np.empty(p, dtype=bool)  # w[i] < w[i+1]: vals is sorted
+    np.less(inv[:-1], inv[1:], out=rising[:-1])
+    rising[-1] = inv[-1] < inv[0]
+    codes = inv * nv  # one integer code per (w[i], w[i+1]) pair
+    codes[:-1] += inv[1:]
+    codes[-1] += inv[0]
+    pairs, _ = _distinct(np, codes[rising], p // _FF_FEW)
+    del codes, rising
+    if pairs is None:
+        return 0
+    lo, hi = np.divmod(pairs, nv)
+    width = nv + 2 * pairs.size
+    done, m = 0, 8
+    while done < limit:
+        m = min(m, limit - done, max(1, _FF_BATCH // width))
+        table = np.empty((m + 1, nv))  # row j: the values after j rounds
+        table[0] = vals
+        table[1:] = tp
+        np.add.accumulate(table, axis=0, out=table)
+        beats = table[:m, hi]
+        beats += ts
+        hit = np.flatnonzero((beats > table[1:, lo]).any(axis=1))
+        if hit.size:
+            done += int(hit[0])
+            vals = table[hit[0]]
+            break
+        done += m
+        vals = table[m]
+        m *= 2
+    if done:
+        np.take(vals, inv, out=w)
+        buf[p] = buf[0]
+    return done
+
+
+def _distinct(np, x, most: int):
+    """Sorted distinct elements of 1-D ``x`` and the index of each element
+    of ``x`` among them, or ``(None, None)`` when there are more than
+    ``most``.  (``np.unique`` would also import ``numpy.ma``.)"""
+    order = np.argsort(x)
+    srt = x[order]
+    keep = np.empty(srt.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=keep[1:])
+    vals = srt[keep]
+    if vals.size > most:
+        return None, None
+    ids = np.cumsum(keep)
+    ids -= 1
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    return vals, inv
 
 
 def bcast_schedule(
@@ -873,14 +1084,22 @@ def array_schedule(kind, fabric, p: int, nbytes: int, t_arr,
     Takes and returns the clock vector as an ndarray, skipping the
     list-API round trip of :data:`SCHEDULES` — on a 100k-rank vector the
     ``tolist``/``asarray`` conversions alone dominate the pricing wall.
-    Serves only the kinds with an array kernel (allreduce, barrier);
-    callers fall back to the list-API schedule for the rest.  Output is
-    bit-identical to the corresponding ``*_schedule``.
+    Serves only the kinds with an array kernel (allreduce, barrier,
+    bcast, scatter); callers fall back to the list-API schedule for the
+    rest.  Output is bit-identical to the corresponding ``*_schedule``.
     """
     if np is None:
         np = get_numpy()
     if np is None or p == 1:
         return None
+    if kind == "bcast":
+        if nbytes <= LARGE_MESSAGE_SWITCH:
+            return _tree_kernel(np, fabric, p, nbytes, root, t_arr, False)
+        chunk = max(1, nbytes // p)
+        after_scatter = _tree_kernel(np, fabric, p, chunk, root, t_arr, True)
+        return _ring_kernel(np, p, after_scatter, *_wire(fabric, chunk))
+    if kind == "scatter":
+        return _tree_kernel(np, fabric, p, nbytes, root, t_arr, True)
     if kind == "barrier":
         tp, ts, _ = _wire(fabric, 0)
         return _barrier_kernel(np, p, t_arr, tp, ts)

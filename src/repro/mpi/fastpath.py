@@ -16,9 +16,14 @@ each rank deposits its value and arrival time into a shared
 last rank to arrive evaluates the exact schedule, computes every rank's
 result (replaying the algorithm's combination order, so payloads are
 bit-identical to the stepped run), and wakes the others.  Each rank then
-sleeps until its own analytic finish time.  Fast-path and full-DES times
-agree to float precision — the test suite gates 1e-9 — because the
-schedules mirror the executable algorithms hop for hop.
+sleeps until its own analytic finish time.  When every rank enters the
+collective at the same instant, fast-path and full-DES times agree to
+float precision — the test suite gates 1e-9 — because the schedules
+mirror the executable algorithms hop for hop.  Under skewed arrivals
+that claim does not hold: through the caveat below, chained collectives
+can finish a few percent later than stepped — at P=9, three bcasts
+rooted at 5, 4 and 4 finish 1.5% apart (``perfbench/README.md``,
+findings).
 
 The fast path is *off* when
 

@@ -29,9 +29,11 @@ recognized rank program into that form:
    The recurrences are the scalar replay's own timing equations (which
    are the stepped engine's), evaluated elementwise in the identical
    floating-point order, so the vector and scalar backends agree
-   *bit-for-bit* — the equivalence suite gates 1e-9 but observes 0.
+   *bit-for-bit*, which the equivalence suite checks with ``==``.
    Collectives reuse the analytic fast-path schedules from
-   :mod:`repro.mpi.collectives` in closed form.
+   :mod:`repro.mpi.collectives`: allreduce, barrier, bcast and scatter
+   through their array kernels (:func:`~repro.mpi.collectives.array_schedule`),
+   the rest through the list API.
 
 NumPy is optional (:mod:`repro.perf.batch` is the gate): without it the
 scalar backend produces identical numbers, just without the array

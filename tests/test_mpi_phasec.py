@@ -12,11 +12,11 @@ Four contracts are gated here:
   raises :class:`~repro.mpi.phasec.LowerFallback`; selection-level
   vetoes (fault plans, time-varying fabrics, tracers) route the whole
   job to the stepped engine.
-* **Backend equivalence** — the numpy and scalar pricing backends agree
-  to 1e-9 relative (bit-exact in practice) with each other, with the
-  scalar replay, and with the stepped engine, over seeded-random
-  ``(P, nbytes, iters)`` draws; without numpy the scalar backend warns
-  once and produces identical numbers.
+* **Backend equivalence** — the numpy and NumPy-free scalar pricing
+  backends agree bit for bit with each other and with the scalar replay
+  over seeded-random ``(P, nbytes, iters)`` draws, and to 1e-9 relative
+  with the stepped engine; without numpy the scalar backend warns once
+  and produces identical numbers.
 * **Job routing** — ``compiled_mpiexec``/``MpiJob.run(compiled=True)``
   pick the vector path when asked, materialize per-rank returns lazily
   through the replay, and memoize elapsed-only entries.
@@ -29,6 +29,7 @@ from functools import partial
 
 import pytest
 
+import repro.mpi.collectives as collectives_mod
 import repro.mpi.compile as compile_mod
 import repro.mpi.phasec as phasec_mod
 from repro.errors import ConfigError
@@ -67,6 +68,19 @@ def _halo_main(nbytes, iters, comm):
         yield from comm.sendrecv(left, right, nbytes=nbytes)
         yield from comm.compute(1e-7)
         yield from comm.allreduce(0.0, nbytes=8)
+    return comm.rank
+
+
+def _bcast_scatter_main(nbytes, root, iters, comm):
+    """A ring shift, then a bcast and a scatter rooted at ``root``."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    blocks = [0.0] * comm.size
+    for _ in range(iters):
+        yield from comm.sendrecv(right, left, nbytes=256)
+        yield from comm.bcast(0.0, root=root, nbytes=nbytes)
+        yield from comm.compute(1e-7)
+        yield from comm.scatter(blocks, root=root, nbytes=nbytes // 64)
     return comm.rank
 
 
@@ -286,26 +300,45 @@ def test_scalar_price_matches_replay_and_stepped():
 
 
 @needs_numpy
-def test_vector_matches_scalar_random_draws():
-    """Property-style: seeded (P, nbytes, iters) draws, elementwise."""
+def test_vector_matches_scalar_random_draws(monkeypatch):
+    """Property-style: seeded (P, nbytes, iters) draws, bit for bit.
+
+    The scalar side runs with NumPy hidden from the collectives, so it
+    is the pure-Python loops end to end; otherwise, from P=128 up, its
+    schedules reach the same array kernels the vector side uses.  The
+    bcast/scatter draws cover the large-message bcast (scatter + ring)
+    and rooted trees at nonzero roots.
+    """
     rnd = random.Random(0x5C13)
+    draws = []
     for fabric in (host_fabric(), phi_fabric(2)):
         for _ in range(5):
             p = rnd.randrange(2, 300)
             nbytes = rnd.choice((64, 4096, 128 * 1024, 1 << 20))
             iters = rnd.randrange(1, 4)
-            main = partial(_halo_main, nbytes, iters)
-            program = lower(main, p, fabric=fabric)
-            vec = clocks(program, fabric, use_numpy=True)
+            draws.append((fabric, p, partial(_halo_main, nbytes, iters),
+                          f"halo P={p} nbytes={nbytes} iters={iters}"))
+    for fabric in (host_fabric(), phi_fabric(2)):
+        for _ in range(4):
+            p = rnd.randrange(2, 300)
+            nbytes = rnd.choice((4096, 64 * 1024, 1 << 20, 16 << 20))
+            root = rnd.randrange(1, p)
+            iters = rnd.randrange(1, 3)
+            draws.append((
+                fabric, p, partial(_bcast_scatter_main, nbytes, root, iters),
+                f"bcast/scatter P={p} nbytes={nbytes} root={root}",
+            ))
+    for fabric, p, main, tag in draws:
+        program = lower(main, p, fabric=fabric)
+        vec = clocks(program, fabric, use_numpy=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(collectives_mod, "get_numpy", lambda: None)
             scal = clocks(program, fabric, use_numpy=False)
-            tag = f"P={p} nbytes={nbytes} iters={iters}"
-            assert len(vec) == len(scal) == p
-            for v, s in zip(vec, scal):
-                assert _rel(v, s) <= TOL, tag
-            assert _rel(
-                price(program, fabric, use_numpy=True),
-                replay(p, fabric, main).elapsed,
-            ) <= TOL, tag
+        assert len(vec) == len(scal) == p
+        assert vec == scal, tag
+        assert price(program, fabric, use_numpy=True) == replay(
+            p, fabric, main
+        ).elapsed, tag
 
 
 def test_scalar_fallback_warns_once_without_numpy(monkeypatch):
